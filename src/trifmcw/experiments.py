@@ -28,7 +28,7 @@ from .spectrum import (
     range_profile,
     sntr,
 )
-from .waveform import WaveformKind, WaveformSpec, generate
+from .waveform import ComplexSignal, WaveformKind, WaveformSpec, generate
 
 __all__ = [
     "AssertionResult",
@@ -89,6 +89,7 @@ class MethodResult:
     beat: BeatSignal | None = None
     profile: RangeProfile | None = None
     peaks: PeakSet | None = None
+    dominant: PeakSet | None = None  # peaks at COMPARISON_THRESHOLD_DB
     metrics: dict = field(default_factory=dict)
 
 
@@ -109,9 +110,8 @@ class ExperimentReport:
 
 
 def _pipeline(
-    spec: WaveformSpec, channel: ChannelModel, mapping: RangeMapping
+    tx: ComplexSignal, channel: ChannelModel, mapping: RangeMapping
 ) -> tuple[BeatSignal, RangeProfile]:
-    tx = generate(spec)
     rx = apply_channel(tx, channel)
     beat = mix(tx, rx)
     return beat, range_profile(beat, mapping)
@@ -182,23 +182,25 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
         notes={"alt_triangle_processing": ALT_PROCESSING_PLACEHOLDER},
     )
 
+    txs = {name: generate(spec) for name, spec in specs.items()}
     results: dict[tuple[str, str], MethodResult] = {}
     for variant, channel in (("det", det_channel), ("rayleigh", ray_channel)):
-        for name, spec in specs.items():
-            beat, profile = _pipeline(spec, channel, mapping)
+        for name, tx in txs.items():
+            beat, profile = _pipeline(tx, channel, mapping)
             peaks = detect_peaks(profile)
-            compare = detect_peaks(profile, COMPARISON_THRESHOLD_DB)
+            dominant = detect_peaks(profile, COMPARISON_THRESHOLD_DB)
             result = MethodResult(
                 method=f"{name}_{variant}",
                 beat=beat,
                 profile=profile,
                 peaks=peaks,
+                dominant=dominant,
                 metrics={
                     "peak_bins": list(peaks.bins),
                     "peak_ranges_m": [p.range_m for p in peaks],
                     "peak_count": len(peaks),
-                    "dominant_bins": list(compare.bins),
-                    "dominant_count": len(compare),
+                    "dominant_bins": list(dominant.bins),
+                    "dominant_count": len(dominant),
                 },
             )
             results[(variant, name)] = result
@@ -208,8 +210,7 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
         """Dominant peaks falling inside the window around the close pair."""
         lo = truth[2] - 0.5 * result.profile.bin_spacing_m
         hi = truth[3] + 0.5 * result.profile.bin_spacing_m
-        compare = detect_peaks(result.profile, COMPARISON_THRESHOLD_DB)
-        return sum(1 for pk in compare if lo <= pk.range_m <= hi)
+        return sum(1 for pk in result.dominant if lo <= pk.range_m <= hi)
 
     tri_det = results[("det", "triangle")]
     report.assertions.append(
@@ -278,10 +279,11 @@ def run_sntr_sweep(
     n_c = spec.samples_per_chirp
     p_values = sorted(set(int(round(p)) for p in np.linspace(1, 0.45 * n_c, points)))
 
+    tx = generate(spec)
     rows = []
     for p in p_values:
         tau = p / (2.0 * DESK_BANDWIDTH_HZ)
-        _, profile = _pipeline(spec, _unit_channel([tau]), mapping)
+        _, profile = _pipeline(tx, _unit_channel([tau]), mapping)
         rows.append((p / n_c, sntr(profile, p)))
 
     report = ExperimentReport(
@@ -358,7 +360,7 @@ def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> Exper
     errors: dict[str, float] = {}
     for kind in kinds:
         spec = WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, NON_INTEGER_FS)
-        beat, profile = _pipeline(spec, channel, mapping)
+        beat, profile = _pipeline(generate(spec), channel, mapping)
         peaks = detect_peaks(profile, COMPARISON_THRESHOLD_DB)
         per_peak_error = [
             min(abs(pk.range_m - r) for r in NON_INTEGER_RANGES_M) for pk in peaks
@@ -442,8 +444,10 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
         WaveformKind.GENTLE,
         WaveformKind.EXTENDED,
     )
-    specs = {
-        kind.value: WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, SPACING_FS)
+    txs = {
+        kind.value: generate(
+            WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, SPACING_FS)
+        )
         for kind in kinds
     }
     r_fixed = 0.40
@@ -463,7 +467,7 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
         row: list = [true_spacing]
         degenerate: list[str] = []
         for kind in kinds:
-            beat, profile = _pipeline(specs[kind.value], channel, mapping)
+            beat, profile = _pipeline(txs[kind.value], channel, mapping)
             peaks = detect_peaks(profile)
             if len(peaks) >= 2:
                 strongest = sorted(peaks, key=lambda pk: pk.power, reverse=True)[:2]
@@ -555,7 +559,7 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
         spec = WaveformSpec(
             kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz
         )
-        beat, profile = _pipeline(spec, channel, mapping)
+        beat, profile = _pipeline(generate(spec), channel, mapping)
         peaks = detect_peaks(profile, cfg.threshold_db)
         report.methods.append(
             MethodResult(
@@ -586,8 +590,6 @@ def run_named_scenario(name: str, seed: int = 1, mapping: RangeMapping | None = 
     runner = BUILTIN_SCENARIOS[name]
     if name in ("four_path", "non_integer"):
         return runner(seed=seed, mapping=mapping)
-    if name == "sntr_sweep":
-        return runner(mapping=mapping)
     return runner(mapping=mapping)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from trifmcw import (
     BeatSignal,
     ChannelModel,
     ChannelTap,
+    Peak,
+    PeakSet,
     RangeMapping,
+    RangeProfile,
     WaveformKind,
     WaveformSpec,
     analytic_beat,
@@ -236,3 +241,178 @@ def test_dc_peak_detected_at_boundary_bin():
     beat = analytic_beat(SPEC, 0.0)
     peaks = detect_peaks(range_profile(beat, MAP))
     assert peaks.bins == (0,)
+
+
+def test_range_profile_rejects_single_sample_beat():
+    one = WaveformSpec(WaveformKind.LINEAR, 5.0, 0.1)  # fs*Tc = 1 sample
+    beat = BeatSignal(np.ones(1, complex), one.sample_rate_hz, one)
+    with pytest.raises(ValueError, match="at least two samples"):
+        range_profile(beat, MAP)
+
+
+@pytest.mark.parametrize(
+    "spec, ps",
+    [
+        (SPEC, [48, 50, 56, 57]),
+        (WaveformSpec(WaveformKind.SAWTOOTH, B, TC), [17, 40]),
+        (WaveformSpec(WaveformKind.GENTLE, B, TC), [24]),
+        (WaveformSpec(WaveformKind.LINEAR, B, TC), [9, 31]),
+        (WaveformSpec(WaveformKind.EXTENDED, B, TC), [12, 70]),
+        # fs*Tc = 1601 samples: an odd-length beat has no Nyquist bin
+        (WaveformSpec(WaveformKind.LINEAR, B, TC, 0.0, 16_010.0), [5, 23]),
+    ],
+    ids=["triangle", "sawtooth", "gentle", "linear", "extended", "linear_odd"],
+)
+def test_range_profile_matches_full_spectrum_half(spec, ps):
+    fs = spec.sample_rate_hz
+    beat = channel_beat(spec, [(p / fs, 1.0 - 0.1j * k) for k, p in enumerate(ps)])
+    n = len(beat)
+    profile = range_profile(beat, MAP)
+    expected = np.abs(real_part_spectrum(beat)[: n // 2 + 1]) ** 2
+    assert profile.num_bins == n // 2 + 1
+    np.testing.assert_allclose(profile.bin_power, expected, rtol=1e-9, atol=0)
+
+
+def _reference_detect_peaks(profile, rel_threshold_db=-12.0, twin_outer_db=-14.0):
+    """The original bin-by-bin loop that detect_peaks must reproduce exactly."""
+    power = profile.bin_power
+    n = power.size
+    peak_max = float(power.max())
+    if peak_max <= 0.0:
+        return PeakSet(())
+    threshold = peak_max * 10.0 ** (rel_threshold_db / 10.0)
+
+    def is_candidate(i):
+        return power[i] >= threshold
+
+    found = set()
+    for i in range(n):
+        if not is_candidate(i):
+            continue
+        left_ok = i == 0 or power[i - 1] < power[i]
+        right_ok = i == n - 1 or power[i + 1] < power[i]
+        if left_ok and right_ok:
+            found.add(i)
+
+    twin_floor_scale = 10.0 ** (twin_outer_db / 10.0)
+    for i in sorted(found):
+        for j in (i - 1, i + 1):
+            if j < 0 or j >= n or j in found or not is_candidate(j):
+                continue
+            floor = max(power[i], power[j]) * twin_floor_scale
+            outer_lo = min(i, j) - 1
+            outer_hi = max(i, j) + 1
+            lo_ok = outer_lo < 0 or power[outer_lo] < floor
+            hi_ok = outer_hi >= n or power[outer_hi] < floor
+            if lo_ok and hi_ok:
+                found.add(j)
+
+    peaks = tuple(
+        Peak(i, i * profile.bin_spacing_m, float(power[i])) for i in sorted(found)
+    )
+    return PeakSet(peaks)
+
+
+def _tiny_profile(rng):
+    """n = 1, 2 or 3, with ties as likely as distinct values."""
+    n = int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        return rng.integers(0, 3, size=n).astype(float)
+    return rng.random(n)
+
+
+def _plateau_profile(rng):
+    """Integer levels repeated in runs: plateaus and ties everywhere."""
+    levels = rng.integers(0, 6, size=int(rng.integers(1, 25)))
+    return np.repeat(levels, rng.integers(1, 4, size=levels.size)).astype(float)
+
+
+def _twin_profile(rng):
+    """Low floor with planted adjacent-bin pairs, one of them often on an edge."""
+    n = int(rng.integers(8, 120))
+    power = rng.random(n) * 10.0 ** rng.uniform(-4.0, -1.0)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(0, n - 1))
+        power[k] = 1.0
+        power[k + 1] = 10.0 ** rng.uniform(-1.5, 0.0)
+        if rng.random() < 0.5:
+            power[k], power[k + 1] = power[k + 1], power[k]
+        if rng.random() < 0.3 and k + 2 < n:
+            power[k + 2] = 10.0 ** rng.uniform(-2.0, -0.5)  # flank near the floor
+        elif rng.random() < 0.5:
+            # a flank exactly on the default twin floor: not below it
+            flank = k + 2 if rng.random() < 0.5 else k - 1
+            if 0 <= flank < n:
+                power[flank] = max(power[k], power[k + 1]) * 10.0 ** (-14.0 / 10.0)
+    if rng.random() < 0.3:
+        power[[0, 1]] = [1.0, 10.0 ** rng.uniform(-1.0, 0.0)]
+    return power
+
+
+def _boundary_profile(rng):
+    """Strongest bins at index 0 and at the last index."""
+    n = int(rng.integers(2, 60))
+    power = rng.random(n) * 0.3
+    power[0] = 1.0 + rng.random()
+    power[-1] = 1.0 + rng.random()
+    if rng.random() < 0.3:
+        power[-1] = power[-2]  # a tie at the edge is not a peak
+    return power
+
+
+def _noise_profile(rng):
+    """Exponential noise with a few tones: many local maxima near threshold."""
+    n = int(rng.integers(4, 300))
+    power = rng.exponential(size=n)
+    power[rng.integers(0, n, size=3)] *= 10.0 ** rng.uniform(0.0, 2.0, size=3)
+    if rng.random() < 0.2:
+        power = np.round(power)
+    return power
+
+
+def _threshold_profile(rng):
+    """Bins exactly on the -3, -12 and -40 dB thresholds: they are candidates."""
+    n = int(rng.integers(3, 40))
+    power = rng.random(n) * 0.5
+    power[int(rng.integers(0, n))] = 1.0
+    for threshold_db in (-3.0, -12.0, -40.0):
+        power[int(rng.integers(0, n))] = 10.0 ** (threshold_db / 10.0)
+    if rng.random() < 0.5:
+        power[power < 0.0001] = 0.0
+    return power
+
+
+PROFILE_FAMILIES = {
+    "threshold": _threshold_profile,
+    "tiny": _tiny_profile,
+    "plateau": _plateau_profile,
+    "twin": _twin_profile,
+    "boundary": _boundary_profile,
+    "noise": _noise_profile,
+}
+
+
+@pytest.mark.parametrize("family", sorted(PROFILE_FAMILIES))
+def test_detect_peaks_matches_reference_loop(family):
+    make = PROFILE_FAMILIES[family]
+    rng = np.random.default_rng(sorted(PROFILE_FAMILIES).index(family))
+    twins = edges = 0
+    for _ in range(100):
+        power = make(rng)
+        profile = RangeProfile(power, 0.01, 16_000.0, 0.2, 40_000.0)
+        # A positive twin_outer_db lets a twin pass the flank test of its
+        # own neighbor, which shows that twins never seed further twins.
+        for threshold_db, twin_db in itertools.product((-3.0, -12.0, -40.0), (-14.0, 6.0)):
+            got = detect_peaks(profile, threshold_db, twin_db)
+            want = _reference_detect_peaks(profile, threshold_db, twin_db)
+            assert got == want, (power.tolist(), threshold_db, twin_db)
+            assert all(type(b) is int for b in got.bins)
+            for b in want.bins:
+                left = b == 0 or power[b - 1] < power[b]
+                right = b == power.size - 1 or power[b + 1] < power[b]
+                twins += not (left and right)
+                edges += b in (0, power.size - 1)
+    if family == "twin":
+        assert twins > 0
+    if family == "boundary":
+        assert edges > 0
