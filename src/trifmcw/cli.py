@@ -8,7 +8,8 @@ Subcommands::
     trifmcw profile beat.csv [--out DIR] [--threshold-db -12]
 
 Exit codes: 0 success (report PASS), 1 usage error, 2 configuration
-invariant violated, 3 a report assertion FAILed.
+invariant violated or an input/output file could not be read or written
+(``i/o error: ...``), 3 a report assertion FAILed.
 """
 
 from __future__ import annotations
@@ -102,16 +103,7 @@ def _cmd_waveform(args) -> int:
     sig = generate(spec)
     out = _out_dir(args)
     csvio.write_signal_csv(
-        out / "waveform.csv",
-        sig.samples,
-        sig.sample_rate_hz,
-        {
-            "kind": spec.kind.value,
-            "bandwidth": spec.bandwidth_hz,
-            "chirp": spec.chirp_duration_s,
-            "f0": spec.start_freq_hz,
-            "fs": spec.sample_rate_hz,
-        },
+        out / "waveform.csv", sig.samples, sig.sample_rate_hz, csvio.spec_meta(spec)
     )
     window_len = args.window_len
     hop = args.hop
@@ -176,24 +168,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-_REQUIRED_BEAT_META = ("kind", "bandwidth", "chirp", "fs")
-
-
 def _cmd_profile(args) -> int:
     samples, meta = csvio.read_signal_csv(args.beat_csv)
-    missing = [key for key in _REQUIRED_BEAT_META if key not in meta]
-    if missing:
-        raise ConfigError(
-            f"{args.beat_csv}: missing metadata {missing}; beat CSVs need "
-            f"'# key=value' lines for {list(_REQUIRED_BEAT_META)}"
-        )
-    spec = WaveformSpec(
-        WaveformKind(meta["kind"]),
-        float(meta["bandwidth"]),
-        float(meta["chirp"]),
-        float(meta.get("f0", 0.0)),
-        float(meta["fs"]),
-    )
+    spec = csvio.spec_from_meta(meta, args.beat_csv)
     beat = BeatSignal(samples, spec.sample_rate_hz, spec)
     mapping = _mapping_from(args) or RangeMapping()
     profile = range_profile(beat, mapping)
@@ -218,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"invalid argument: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

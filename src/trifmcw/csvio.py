@@ -5,19 +5,30 @@ significant digits using locale-independent formatting. Sample values
 (re/im columns) are written with 17 significant digits so a signal survives
 a write/read cycle bit-for-bit and downstream profiles stay reproducible.
 Metadata rides along as ``# key=value`` comment lines above the header.
+
+Rows are formatted and parsed a block of ``_BLOCK_ROWS`` rows at a time:
+one ``%`` format per block when writing, one ``int``/``float`` map per
+column when reading. The format is unchanged by this, byte for byte:
+``%.6g`` and :func:`fmt`'s ``f"{x:.6g}"`` run the same CPython float
+formatter. Writes are buffered per block, so no more than one block of text
+is held in memory; the reader fills a preallocated array.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .spectrum import PeakSet, RangeProfile
+from .waveform import WaveformKind, WaveformSpec
 
 __all__ = [
     "fmt",
+    "spec_meta",
+    "spec_from_meta",
     "write_signal_csv",
     "read_signal_csv",
     "write_profile_csv",
@@ -26,24 +37,91 @@ __all__ = [
     "write_spectrogram_csv",
 ]
 
+_BLOCK_ROWS = 1024
+
+# Keys a beat CSV must carry for ``spec_from_meta``; f0 defaults to 0.
+_REQUIRED_BEAT_META = ("kind", "bandwidth", "chirp", "fs")
+
 
 def fmt(x) -> str:
     """Six significant digits, locale independent."""
     return f"{float(x):.6g}"
 
 
-def _fmt_exact(x) -> str:
-    return f"{float(x):.17g}"
+def spec_meta(spec: WaveformSpec) -> dict:
+    """The ``# key=value`` metadata that lets a signal CSV rebuild its spec."""
+    return {
+        "kind": spec.kind.value,
+        "bandwidth": spec.bandwidth_hz,
+        "chirp": spec.chirp_duration_s,
+        "f0": spec.start_freq_hz,
+        "fs": spec.sample_rate_hz,
+    }
+
+
+def spec_from_meta(meta: dict, source) -> WaveformSpec:
+    """Rebuild the spec that :func:`spec_meta` recorded in ``source``."""
+    missing = [key for key in _REQUIRED_BEAT_META if key not in meta]
+    if missing:
+        raise ConfigError(
+            f"{source}: missing metadata {missing}; beat CSVs need "
+            f"'# key=value' lines for {list(_REQUIRED_BEAT_META)}"
+        )
+    return WaveformSpec(
+        WaveformKind(meta["kind"]),
+        float(meta["bandwidth"]),
+        float(meta["chirp"]),
+        float(meta.get("f0", 0.0)),
+        float(meta["fs"]),
+    )
+
+
+def _write_rows(path, head: str, row_fmt: str, columns) -> None:
+    """Write ``head``, then one ``row_fmt`` line per row of the numpy ``columns``."""
+    rows = len(columns[0])
+    with open(path, "w") as f:
+        f.write(head)
+        for a in range(0, rows, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, rows)
+            cells = zip(*(col[a:b].tolist() for col in columns))
+            f.write((row_fmt * (b - a)) % tuple(chain.from_iterable(cells)))
 
 
 def write_signal_csv(path, samples: np.ndarray, sample_rate_hz: float, meta: dict) -> None:
     """Write complex samples as ``n,t,re,im`` with metadata comments."""
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append("n,t,re,im")
-    for n, s in enumerate(samples):
-        t = n / sample_rate_hz
-        lines.append(f"{n},{fmt(t)},{_fmt_exact(s.real)},{_fmt_exact(s.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    samples = np.asarray(samples)
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    index = np.arange(len(samples))
+    _write_rows(
+        path,
+        head + "n,t,re,im\n",
+        "%d,%.6g,%.17g,%.17g\n",
+        [index, index / sample_rate_hz, samples.real, samples.imag],
+    )
+
+
+def _parse_block(lines: list[str], out: np.ndarray, first: int) -> bool:
+    """Parse body rows into ``out[first:]`` in one pass; False leaves ``out`` as is.
+
+    Succeeds only when every line has exactly four fields, all parse and the
+    indices run on from ``first``; any other block goes to the per-line path,
+    which owns blank lines, comments and the error messages.
+    """
+    if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
+        return False
+    fields = ",".join(lines).split(",")
+    try:
+        index = list(map(int, fields[0::4]))
+        re = list(map(float, fields[2::4]))
+        im = list(map(float, fields[3::4]))
+    except ValueError:
+        return False
+    stop = first + len(lines)
+    if index != list(range(first, stop)):
+        return False
+    out.real[first:stop] = re
+    out.imag[first:stop] = im
+    return True
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, dict]:
@@ -52,65 +130,85 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
     Raises ConfigError naming the file and row on any malformed content.
     """
     path = Path(path)
+    lines = path.read_text().splitlines()
     meta: dict[str, str] = {}
-    values: list[complex] = []
-    header_seen = False
-    expected_n = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != "n,t,re,im":
+    samples = None
+    count = 0
+    start = 0
+    while start < len(lines):
+        if samples is None:
+            stop = start + 1
+        else:
+            stop = min(start + _BLOCK_ROWS, len(lines))
+            if _parse_block(lines[start:stop], samples, count):
+                count += stop - start
+                start = stop
+                continue
+        for lineno in range(start + 1, stop + 1):
+            line = lines[lineno - 1].strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    meta[key.strip()] = value.strip()
+                continue
+            if samples is None:
+                if line != "n,t,re,im":
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected header 'n,t,re,im', got {line!r}"
+                    )
+                # Every later line is at most one sample row.
+                samples = np.empty(len(lines) - lineno, dtype=np.complex128)
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                n = int(parts[0])
+                re = float(parts[2])
+                im = float(parts[3])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if n != count:
                 raise ConfigError(
-                    f"{path}:{lineno}: expected header 'n,t,re,im', got {line!r}"
+                    f"{path}:{lineno}: sample index {n} out of order (expected {count})"
                 )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            n = int(parts[0])
-            re = float(parts[2])
-            im = float(parts[3])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        if n != expected_n:
-            raise ConfigError(
-                f"{path}:{lineno}: sample index {n} out of order (expected {expected_n})"
-            )
-        expected_n += 1
-        values.append(complex(re, im))
-    if not header_seen:
+            samples[count] = complex(re, im)
+            count += 1
+        start = stop
+    if samples is None:
         raise ConfigError(f"{path}:1: missing 'n,t,re,im' header")
-    if not values:
+    if not count:
         raise ConfigError(f"{path}: no sample rows")
-    return np.asarray(values, dtype=np.complex128), meta
+    if count < len(samples):
+        samples = samples[:count].copy()
+    return samples, meta
 
 
 def write_profile_csv(path, profile: RangeProfile) -> None:
     """Write a range profile as ``bin_p,range_m,power,power_db``."""
-    lines = ["bin_p,range_m,power,power_db"]
-    floor_db = -400.0  # stand-in for log of an exactly zero bin
-    for p, power in enumerate(profile.bin_power):
-        range_m = p * profile.bin_spacing_m
-        db = 10.0 * np.log10(power) if power > 0 else floor_db
-        lines.append(f"{p},{fmt(range_m)},{fmt(power)},{fmt(db)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    power = profile.bin_power
+    index = np.arange(power.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # -400 dB stands in for the log of an exactly zero bin.
+        power_db = np.where(power > 0, 10.0 * np.log10(power), -400.0)
+    _write_rows(
+        path,
+        "bin_p,range_m,power,power_db\n",
+        "%d,%.6g,%.6g,%.6g\n",
+        [index, index * profile.bin_spacing_m, power, power_db],
+    )
 
 
 def write_peaks_csv(path, peaks: PeakSet) -> None:
-    lines = ["bin_p,range_m,power"]
-    for peak in peaks:
-        lines.append(f"{peak.bin_p},{fmt(peak.range_m)},{fmt(peak.power)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [
+        np.array([peak.bin_p for peak in peaks], dtype=np.int64),
+        np.array([peak.range_m for peak in peaks], dtype=np.float64),
+        np.array([peak.power for peak in peaks], dtype=np.float64),
+    ]
+    _write_rows(path, "bin_p,range_m,power\n", "%d,%.6g,%.6g\n", columns)
 
 
 def write_table_csv(path, header: tuple[str, ...], rows) -> None:
@@ -131,8 +229,10 @@ def write_spectrogram_csv(path, matrix: np.ndarray, sample_rate_hz: float, hop: 
     """Write a spectrogram matrix, one frame per row, bins as columns."""
     bins = matrix.shape[1] if matrix.ndim == 2 else 0
     header = ["frame", "t"] + [f"bin_{k}" for k in range(bins)]
-    lines = [",".join(header)]
-    for i, row in enumerate(matrix):
-        t = i * hop / sample_rate_hz
-        lines.append(",".join([str(i), fmt(t)] + [fmt(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    frame = np.arange(len(matrix))
+    _write_rows(
+        path,
+        ",".join(header) + "\n",
+        "%d,%.6g" + ",%.6g" * bins + "\n",
+        [frame, frame * hop / sample_rate_hz, *matrix.T],
+    )

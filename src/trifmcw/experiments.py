@@ -593,16 +593,6 @@ def run_named_scenario(name: str, seed: int = 1, mapping: RangeMapping | None = 
     return runner(mapping=mapping)
 
 
-def _spec_meta(spec: WaveformSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "bandwidth": spec.bandwidth_hz,
-        "chirp": spec.chirp_duration_s,
-        "f0": spec.start_freq_hz,
-        "fs": spec.sample_rate_hz,
-    }
-
-
 def write_outputs(report: ExperimentReport, out_dir) -> None:
     """Write profiles, beats, tables, metrics.json and report.txt."""
     out = Path(out_dir)
@@ -615,7 +605,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
                 out / f"beat_{result.method}.csv",
                 result.beat.samples,
                 result.beat.sample_rate_hz,
-                _spec_meta(result.beat.spec),
+                csvio.spec_meta(result.beat.spec),
             )
     for name, (header, rows) in report.tables.items():
         csvio.write_table_csv(out / f"{name}.csv", header, rows)

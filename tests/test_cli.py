@@ -160,3 +160,20 @@ def test_simulate_failing_report_exits_three(tmp_path, monkeypatch):
     )
     assert run("simulate", "four_path", "--out", str(tmp_path)) == 3
     assert "FAIL AC-1" in (tmp_path / "report.txt").read_text()
+
+
+def test_simulate_out_through_regular_file_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("simulate", "four_path", "--out", str(blocker / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "Not a directory" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_profile_missing_file_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run("profile", str(missing), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(missing) in err
+    assert len(err.splitlines()) == 1
