@@ -27,8 +27,8 @@ class ChannelTap:
     gain: complex
 
     def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError(f"tap delay must be >= 0, got {self.delay_s}")
+        if not math.isfinite(self.delay_s) or self.delay_s < 0:
+            raise ValueError(f"tap delay must be finite and >= 0, got {self.delay_s}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class ChannelModel:
     """Ordered tap list; taps are sorted by increasing delay on construction."""
 
     taps: tuple[ChannelTap, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         taps = tuple(sorted(self.taps, key=lambda tap: tap.delay_s))
@@ -80,7 +79,7 @@ def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
             out += tap.gain * sig.samples
         else:
             out[d:] += tap.gain * sig.samples[:-d]
-    return ComplexSignal(out, sig.sample_rate_hz, sig.t0, sig.spec)
+    return ComplexSignal(out, sig.sample_rate_hz, sig.spec)
 
 
 class _SplitMix64:
@@ -125,14 +124,9 @@ def rayleigh_taps(delays: Sequence[float], seed: int) -> ChannelModel:
     normal pair per tap, in order of increasing delay. Gains are not
     renormalized across taps. Same seed, same delays => identical model.
     """
-    ordered = sorted(delays)
-    if len(set(ordered)) != len(ordered):
-        raise ValueError(f"delays must be distinct, got {list(delays)}")
-    if ordered and ordered[0] < 0:
-        raise ValueError(f"delays must be non-negative, got {ordered[0]}")
     rng = _SplitMix64(seed)
     taps = []
-    for delay in ordered:
+    for delay in sorted(delays):
         z_re, z_im = _standard_normal_pair(rng)
         taps.append(ChannelTap(delay, complex(z_re, z_im) / math.sqrt(2.0)))
-    return ChannelModel(tuple(taps), seed=seed)
+    return ChannelModel(tuple(taps))

@@ -22,7 +22,13 @@ from . import csvio, experiments
 from .beat import BeatSignal
 from .errors import ConfigError
 from .scenario import parse_scenario
-from .spectrum import DEFAULT_THRESHOLD_DB, RangeMapping, detect_peaks, range_profile
+from .spectrum import (
+    DEFAULT_THRESHOLD_DB,
+    SPEED_OF_SOUND_MPS,
+    RangeMapping,
+    detect_peaks,
+    range_profile,
+)
 from .waveform import WaveformKind, WaveformSpec, generate, spectrogram
 
 __all__ = ["main"]
@@ -58,9 +64,9 @@ def _build_parser() -> _Parser:
     wave.add_argument("--f0", type=float, default=0.0,
                       help="baseband start frequency in Hz")
     wave.add_argument("--window-len", type=int, default=None,
-                      help="spectrogram window length in samples")
+                      help="spectrogram window length in samples (default Nc/16)")
     wave.add_argument("--hop", type=int, default=None,
-                      help="spectrogram hop in samples")
+                      help="spectrogram hop in samples (default window length/2)")
     wave.add_argument("--out", default=".", help="output directory")
     wave.set_defaults(func=_cmd_waveform)
 
@@ -125,7 +131,7 @@ def _cmd_waveform(args) -> int:
 def _mapping_from(args) -> RangeMapping | None:
     if args.speed is None and not args.one_way:
         return None
-    speed = args.speed if args.speed is not None else 343.0
+    speed = args.speed if args.speed is not None else SPEED_OF_SOUND_MPS
     return RangeMapping(speed, not args.one_way)
 
 

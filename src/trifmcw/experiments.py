@@ -21,6 +21,8 @@ from .beat import BeatSignal, mix
 from .channel import ChannelModel, ChannelTap, apply_channel, rayleigh_taps
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
+    DEFAULT_THRESHOLD_DB,
+    SPEED_OF_SOUND_MPS,
     PeakSet,
     RangeMapping,
     RangeProfile,
@@ -49,7 +51,7 @@ __all__ = [
 # ranging. With fs = 2B the delay quantum 1/(2B) is exactly one sample.
 DESK_BANDWIDTH_HZ = 8_000.0
 DESK_CHIRP_S = 0.1
-DESK_MAPPING = RangeMapping(propagation_speed_mps=343.0, round_trip=True)
+DESK_MAPPING = RangeMapping(SPEED_OF_SOUND_MPS, round_trip=True)
 
 FOUR_PATH_BINS = (48, 50, 56, 57)
 
@@ -86,11 +88,11 @@ class AssertionResult:
 @dataclass
 class MethodResult:
     method: str
-    beat: BeatSignal | None = None
-    profile: RangeProfile | None = None
-    peaks: PeakSet | None = None
+    beat: BeatSignal
+    profile: RangeProfile
+    peaks: PeakSet
+    metrics: dict
     dominant: PeakSet | None = None  # peaks at COMPARISON_THRESHOLD_DB
-    metrics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -115,6 +117,28 @@ def _pipeline(
     rx = apply_channel(tx, channel)
     beat = mix(tx, rx)
     return beat, range_profile(beat, mapping)
+
+
+def _run_method(
+    method: str,
+    tx: ComplexSignal,
+    channel: ChannelModel,
+    mapping: RangeMapping,
+    threshold_db: float,
+) -> MethodResult:
+    """One method through the pipeline; its metrics start with the peaks.
+
+    Callers append their own metric keys after these three, which fixes the
+    key order in metrics.json.
+    """
+    beat, profile = _pipeline(tx, channel, mapping)
+    peaks = detect_peaks(profile, threshold_db)
+    metrics = {
+        "peak_bins": list(peaks.bins),
+        "peak_ranges_m": [pk.range_m for pk in peaks],
+        "peak_count": len(peaks),
+    }
+    return MethodResult(method, beat, profile, peaks, metrics)
 
 
 def _unit_channel(delays) -> ChannelModel:
@@ -155,7 +179,7 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
     B = DESK_BANDWIDTH_HZ
     delays = [p / (2.0 * B) for p in FOUR_PATH_BINS]
     specs = _spec_trio()
-    truth = tuple(_range_of_p(p, B, mapping) for p in FOUR_PATH_BINS)
+    truth = tuple(mapping.delay_to_range(d) for d in delays)
 
     det_channel = _unit_channel(delays)
     ray_raw = rayleigh_taps(delays, seed)
@@ -163,8 +187,7 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
         tuple(
             ChannelTap(t.delay_s, _real_clamped_gain(t.gain, 0.5, 1.5))
             for t in ray_raw.taps
-        ),
-        seed=seed,
+        )
     )
 
     report = ExperimentReport(
@@ -186,23 +209,12 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
     results: dict[tuple[str, str], MethodResult] = {}
     for variant, channel in (("det", det_channel), ("rayleigh", ray_channel)):
         for name, tx in txs.items():
-            beat, profile = _pipeline(tx, channel, mapping)
-            peaks = detect_peaks(profile)
-            dominant = detect_peaks(profile, COMPARISON_THRESHOLD_DB)
-            result = MethodResult(
-                method=f"{name}_{variant}",
-                beat=beat,
-                profile=profile,
-                peaks=peaks,
-                dominant=dominant,
-                metrics={
-                    "peak_bins": list(peaks.bins),
-                    "peak_ranges_m": [p.range_m for p in peaks],
-                    "peak_count": len(peaks),
-                    "dominant_bins": list(dominant.bins),
-                    "dominant_count": len(dominant),
-                },
+            result = _run_method(
+                f"{name}_{variant}", tx, channel, mapping, DEFAULT_THRESHOLD_DB
             )
+            result.dominant = detect_peaks(result.profile, COMPARISON_THRESHOLD_DB)
+            result.metrics["dominant_bins"] = list(result.dominant.bins)
+            result.metrics["dominant_count"] = len(result.dominant)
             results[(variant, name)] = result
             report.methods.append(result)
 
@@ -255,12 +267,6 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
             )
         )
     return report
-
-
-def _range_of_p(p: float, bandwidth_hz: float, mapping: RangeMapping) -> float:
-    tau = p / (2.0 * bandwidth_hz)
-    trips = 2.0 if mapping.round_trip else 1.0
-    return mapping.propagation_speed_mps * tau / trips
 
 
 def run_sntr_sweep(
@@ -337,8 +343,7 @@ def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> Exper
     the two paths. The conventional single-chirp pipeline must not.
     """
     mapping = mapping or DESK_MAPPING
-    trips = 2.0 if mapping.round_trip else 1.0
-    delays = [trips * r / mapping.propagation_speed_mps for r in NON_INTEGER_RANGES_M]
+    delays = [mapping.range_to_delay(r) for r in NON_INTEGER_RANGES_M]
     channel = _unit_channel(delays)
     kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
 
@@ -360,28 +365,18 @@ def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> Exper
     errors: dict[str, float] = {}
     for kind in kinds:
         spec = WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, NON_INTEGER_FS)
-        beat, profile = _pipeline(generate(spec), channel, mapping)
-        peaks = detect_peaks(profile, COMPARISON_THRESHOLD_DB)
-        per_peak_error = [
-            min(abs(pk.range_m - r) for r in NON_INTEGER_RANGES_M) for pk in peaks
-        ]
-        counts[kind.value] = len(peaks)
-        errors[kind.value] = max(per_peak_error, default=math.inf)
-        report.methods.append(
-            MethodResult(
-                method=kind.value,
-                beat=beat,
-                profile=profile,
-                peaks=peaks,
-                metrics={
-                    "peak_bins": list(peaks.bins),
-                    "peak_ranges_m": [pk.range_m for pk in peaks],
-                    "peak_count": len(peaks),
-                    "per_peak_range_error_m": per_peak_error,
-                    "bin_spacing_m": profile.bin_spacing_m,
-                },
-            )
+        result = _run_method(
+            kind.value, generate(spec), channel, mapping, COMPARISON_THRESHOLD_DB
         )
+        per_peak_error = [
+            min(abs(pk.range_m - r) for r in NON_INTEGER_RANGES_M)
+            for pk in result.peaks
+        ]
+        counts[kind.value] = len(result.peaks)
+        errors[kind.value] = max(per_peak_error, default=math.inf)
+        result.metrics["per_peak_range_error_m"] = per_peak_error
+        result.metrics["bin_spacing_m"] = result.profile.bin_spacing_m
+        report.methods.append(result)
 
     spacing = {m.method: m.profile.bin_spacing_m for m in report.methods}
     for name in ("triangle", "extended"):
@@ -436,8 +431,6 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
     the table with its degeneracy flags but outside the error statistic.
     """
     mapping = mapping or DESK_MAPPING
-    trips = 2.0 if mapping.round_trip else 1.0
-    c = mapping.propagation_speed_mps
     kinds = (
         WaveformKind.TRIANGLE,
         WaveformKind.SAWTOOTH,
@@ -451,6 +444,7 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
         for kind in kinds
     }
     r_fixed = 0.40
+    tau_fixed = mapping.range_to_delay(r_fixed)
     positions = [round(0.50 - 0.01 * i, 4) for i in range(11)]
 
     rows = []
@@ -459,11 +453,9 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
         true_spacing = abs(r_moving - r_fixed)
         if r_moving == r_fixed:
             # Co-located reflectors superpose into one tap of doubled gain.
-            channel = ChannelModel((ChannelTap(trips * r_fixed / c, 2.0 + 0.0j),))
+            channel = ChannelModel((ChannelTap(tau_fixed, 2.0 + 0.0j),))
         else:
-            channel = _unit_channel(
-                [trips * r_fixed / c, trips * r_moving / c]
-            )
+            channel = _unit_channel([tau_fixed, mapping.range_to_delay(r_moving)])
         row: list = [true_spacing]
         degenerate: list[str] = []
         for kind in kinds:
@@ -539,8 +531,7 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
             "seed": cfg.seed,
         },
         ground_truth_ranges_m=tuple(
-            mapping.propagation_speed_mps * tap.delay_s / (2.0 if mapping.round_trip else 1.0)
-            for tap in channel.taps
+            mapping.delay_to_range(tap.delay_s) for tap in channel.taps
         ),
     )
     if len(channel) == 0:
@@ -559,20 +550,8 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
         spec = WaveformSpec(
             kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz
         )
-        beat, profile = _pipeline(generate(spec), channel, mapping)
-        peaks = detect_peaks(profile, cfg.threshold_db)
         report.methods.append(
-            MethodResult(
-                method=kind.value,
-                beat=beat,
-                profile=profile,
-                peaks=peaks,
-                metrics={
-                    "peak_bins": list(peaks.bins),
-                    "peak_ranges_m": [pk.range_m for pk in peaks],
-                    "peak_count": len(peaks),
-                },
-            )
+            _run_method(kind.value, generate(spec), channel, mapping, cfg.threshold_db)
         )
     return report
 
@@ -598,15 +577,13 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for result in report.methods:
-        if result.profile is not None:
-            csvio.write_profile_csv(out / f"profile_{result.method}.csv", result.profile)
-        if result.beat is not None:
-            csvio.write_signal_csv(
-                out / f"beat_{result.method}.csv",
-                result.beat.samples,
-                result.beat.sample_rate_hz,
-                csvio.spec_meta(result.beat.spec),
-            )
+        csvio.write_profile_csv(out / f"profile_{result.method}.csv", result.profile)
+        csvio.write_signal_csv(
+            out / f"beat_{result.method}.csv",
+            result.beat.samples,
+            result.beat.sample_rate_hz,
+            csvio.spec_meta(result.beat.spec),
+        )
     for name, (header, rows) in report.tables.items():
         csvio.write_table_csv(out / f"{name}.csv", header, rows)
 

@@ -28,11 +28,10 @@ gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import ChannelModel, ChannelTap, _SplitMix64, _standard_normal_pair
+from .channel import ChannelModel, ChannelTap, rayleigh_taps
 from .errors import ConfigError
 from .spectrum import DEFAULT_THRESHOLD_DB, RangeMapping, SPEED_OF_SOUND_MPS
 from .waveform import WaveformKind
@@ -55,8 +54,7 @@ class TapConfig:
             return self.delay_s
         if self.delay_p is not None:
             return self.delay_p / (2.0 * bandwidth_hz)
-        trips = 2.0 if mapping.round_trip else 1.0
-        return trips * self.range_m / mapping.propagation_speed_mps
+        return mapping.range_to_delay(self.range_m)
 
 
 @dataclass
@@ -88,9 +86,12 @@ def _parse_bool(value: str, where: str) -> bool:
 
 def _parse_float(value: str, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not abs(number) < float("inf"):  # false for nan as well as +-inf
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def parse_scenario(path) -> ScenarioConfig:
@@ -238,20 +239,16 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
 def build_channel(cfg: ScenarioConfig) -> ChannelModel:
     """Materialize the channel: resolve delays and draw any rayleigh gains.
 
-    Rayleigh gains are drawn from one seeded stream in tap order (after
-    sorting by delay), so a scenario is reproducible from its seed.
+    Rayleigh gains come from :func:`rayleigh_taps`: one seeded stream drawn
+    over the rayleigh taps in order of increasing delay, so a scenario is
+    reproducible from its seed.
     """
-    resolved = sorted(
-        ((tap.resolve_delay(cfg.bandwidth_hz, cfg.mapping), tap) for tap in cfg.taps),
-        key=lambda item: item[0],
-    )
-    rng = _SplitMix64(cfg.seed)
-    taps = []
-    for delay, tap in resolved:
+    mapping = cfg.mapping
+    fixed, drawn = [], []
+    for tap in cfg.taps:
+        delay = tap.resolve_delay(cfg.bandwidth_hz, mapping)
         if tap.gain == "rayleigh":
-            z_re, z_im = _standard_normal_pair(rng)
-            gain = complex(z_re, z_im) / math.sqrt(2.0)
+            drawn.append(delay)
         else:
-            gain = tap.gain
-        taps.append(ChannelTap(delay, gain))
-    return ChannelModel(tuple(taps), seed=cfg.seed)
+            fixed.append(ChannelTap(delay, tap.gain))
+    return ChannelModel(tuple(fixed) + rayleigh_taps(drawn, cfg.seed).taps)

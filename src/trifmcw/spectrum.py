@@ -53,6 +53,18 @@ class RangeMapping:
                 f"propagation speed must be > 0, got {self.propagation_speed_mps}"
             )
 
+    @property
+    def _trips(self) -> float:
+        return 2.0 if self.round_trip else 1.0
+
+    def delay_to_range(self, tau: float) -> float:
+        """Range in meters of a path delayed by `tau` seconds."""
+        return self.propagation_speed_mps * tau / self._trips
+
+    def range_to_delay(self, range_m: float) -> float:
+        """Delay in seconds of a path at `range_m` meters."""
+        return self._trips * range_m / self.propagation_speed_mps
+
 
 @dataclass(frozen=True)
 class RangeProfile:
@@ -66,9 +78,6 @@ class RangeProfile:
 
     bin_power: np.ndarray
     bin_spacing_m: float
-    sample_rate_hz: float
-    duration_s: float
-    slope_hz_per_s: float
 
     def __post_init__(self):
         arr = np.asarray(self.bin_power, dtype=np.float64)
@@ -81,14 +90,6 @@ class RangeProfile:
     @property
     def num_bins(self) -> int:
         return self.bin_power.size
-
-    @property
-    def bin_index(self) -> np.ndarray:
-        return np.arange(self.num_bins)
-
-    @property
-    def ranges_m(self) -> np.ndarray:
-        return self.bin_index * self.bin_spacing_m
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,10 @@ def range_profile(beat: BeatSignal, mapping: RangeMapping | None = None) -> Rang
         mapping = RangeMapping()
     power = np.abs(np.fft.rfft(_real_part(beat))) ** 2
     duration = len(beat) / beat.sample_rate_hz
-    slope = beat.spec.effective_slope
-    spacing = mapping.propagation_speed_mps / (slope * duration)
+    spacing = mapping.propagation_speed_mps / (beat.spec.effective_slope * duration)
     if mapping.round_trip:
         spacing *= 0.5
-    return RangeProfile(power, spacing, beat.sample_rate_hz, duration, slope)
+    return RangeProfile(power, spacing)
 
 
 def detect_peaks(

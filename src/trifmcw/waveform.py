@@ -145,8 +145,7 @@ class ComplexSignal:
 
     Attributes:
         samples: complex sample buffer
-        sample_rate_hz: fs of the buffer
-        t0: time of the first sample, seconds
+        sample_rate_hz: fs of the buffer; sample ``n`` is at ``t = n/fs``
         spec: the waveform spec that produced the signal, when known;
             carried through channel application so the beat stage can
             recover slope and duration.
@@ -154,7 +153,6 @@ class ComplexSignal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0: float = 0.0
     spec: WaveformSpec | None = None
 
     def __post_init__(self):
@@ -167,10 +165,6 @@ class ComplexSignal:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 def _triangle_phase(spec: WaveformSpec, t: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -213,31 +207,19 @@ def generate(spec: WaveformSpec) -> ComplexSignal:
     else:
         phase = _triangle_phase(spec, t, n >= spec.samples_per_chirp)
 
-    return ComplexSignal(np.exp(1j * phase), fs, 0.0, spec)
+    return ComplexSignal(np.exp(1j * phase), fs, spec)
 
 
-def spectrogram(
-    sig: ComplexSignal,
-    window_len: int | None = None,
-    hop: int | None = None,
-) -> np.ndarray:
+def spectrogram(sig: ComplexSignal, window_len: int, hop: int) -> np.ndarray:
     """Hann-windowed power spectrogram, one row per frame.
 
-    Defaults: window_len = Nc/16 when the signal carries a spec (length/32
-    otherwise), hop = window_len/2. Plotting aid only; no quantitative path
-    uses it.
+    Frame ``i`` covers samples ``[i*hop, i*hop + window_len)``. Plotting aid
+    only; no quantitative path uses it.
 
     Returns:
         (num_frames, window_len) array of squared-magnitude DFT values.
     """
     n = len(sig)
-    if window_len is None:
-        if sig.spec is not None:
-            window_len = max(1, sig.spec.samples_per_chirp // 16)
-        else:
-            window_len = max(1, n // 32)
-    if hop is None:
-        hop = max(1, window_len // 2)
     if window_len < 1 or window_len > n:
         raise ValueError(
             f"window_len must satisfy 1 <= window_len <= {n}, got {window_len}"

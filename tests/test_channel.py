@@ -112,3 +112,32 @@ def test_rayleigh_gain_second_moment():
     model = rayleigh_taps(delays, seed=2024)
     mean_sq = np.mean([abs(t.gain) ** 2 for t in model.taps])
     assert 0.99 <= mean_sq <= 1.01
+
+
+def test_splitmix64_known_answer():
+    # First outputs of the reference splitmix64.c seeded with 0.
+    from trifmcw.channel import _SplitMix64
+
+    rng = _SplitMix64(0)
+    assert [rng.next_u64() for _ in range(4)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+        0xF88BB8A8724C81EC,
+    ]
+
+
+def test_rayleigh_taps_known_answer():
+    # Gains are drawn in delay order, whatever order the delays are given in.
+    model = rayleigh_taps([0.003, 0.001, 0.002], 42)
+    assert [(t.delay_s, t.gain.real.hex(), t.gain.imag.hex()) for t in model.taps] == [
+        (0.001, "0x1.2c4a0765a459ep-2", "0x1.d89778b80070bp-2"),
+        (0.002, "-0x1.42e5b5796b222p-1", "0x1.e05d74a34d89cp-1"),
+        (0.003, "0x1.3916fca0d22dep+0", "-0x1.54ef52c18fa67p+0"),
+    ]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_tap_delay_rejected(delay):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelTap(delay, 1.0)

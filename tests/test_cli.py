@@ -16,7 +16,12 @@ def test_waveform_triangle_row_count(tmp_path):
     data = [r for r in rows if not r.startswith("#")]
     assert data[0] == "n,t,re,im"
     assert len(data) - 1 == 3200
-    assert (tmp_path / "spectrogram.csv").exists()
+    # Default spectrogram: window Nc/16 = 100 samples, hop 50, so 63 frames.
+    spec_rows = read_lines(tmp_path / "spectrogram.csv")
+    assert spec_rows[0].split(",") == ["frame", "t"] + [f"bin_{k}" for k in range(100)]
+    assert len(spec_rows) - 1 == 63
+    assert all(len(r.split(",")) == 102 for r in spec_rows)
+    assert spec_rows[2].split(",")[:2] == ["1", "0.003125"]
 
 
 def test_waveform_linear_half_rows(tmp_path):

@@ -187,7 +187,7 @@ def test_write_profile_csv_matches_reference_loop(tmp_path, n):
     power[rng.random(n) < 0.2] = 0.0  # exactly zero bins take the -400 dB floor
     assert n < 5 or (power == 0).any()
     for spacing in (0.0214375, 1e-5, 99999.95, 1e16 / (n + 1)):
-        profile = RangeProfile(power, spacing, 16000.0, 0.2, 40000.0)
+        profile = RangeProfile(power, spacing)
         _assert_same_bytes(tmp_path, write_profile_csv, _reference_write_profile_csv,
                            profile)
 

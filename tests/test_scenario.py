@@ -64,6 +64,43 @@ def test_build_channel_is_seed_deterministic(tmp_path):
     assert len(drawn) == 1 and drawn[0].gain.imag != 0  # rayleigh draw happened
 
 
+MIXED_GAINS = """
+bandwidth = 8000
+chirp = 0.1
+seed = 5
+
+[tap]
+range_m = 0.343
+gain = rayleigh
+
+[tap]
+delay_p = 20
+gain_re = 0.75
+gain_im = -0.5
+
+[tap]
+delay_s = 0.0005
+gain = rayleigh
+
+[tap]
+delay_p = 12
+gain = rayleigh
+"""
+
+
+def test_build_channel_known_answer(tmp_path):
+    # Rayleigh gains come from one SplitMix64 stream, drawn in delay order and
+    # only for the rayleigh taps; the fixed tap takes no draw.
+    channel = build_channel(parse_scenario(write_scn(tmp_path, MIXED_GAINS)))
+    got = [(t.delay_s.hex(), t.gain.real.hex(), t.gain.imag.hex()) for t in channel.taps]
+    assert got == [
+        ("0x1.0624dd2f1a9fcp-11", "0x1.ceece66b17322p-7", "-0x1.f2f71060c4c5fp-1"),
+        ("0x1.89374bc6a7efap-11", "0x1.f5a7b43622edfp-1", "0x1.694d520ec3896p-1"),
+        ("0x1.47ae147ae147bp-10", "0x1.8000000000000p-1", "-0x1.0000000000000p-1"),
+        ("0x1.0624dd2f1a9fcp-9", "-0x1.e445b9c4f410ep-1", "0x1.c349aad7bb645p-1"),
+    ]
+
+
 def test_missing_bandwidth(tmp_path):
     path = write_scn(tmp_path, "chirp = 0.1\n")
     with pytest.raises(ConfigError, match="bandwidth"):
@@ -97,6 +134,13 @@ def test_tap_zero_gain_rejected(tmp_path):
 def test_positive_threshold_rejected(tmp_path):
     text = "bandwidth = 8000\nchirp = 0.1\nthreshold_db = 3\n"
     with pytest.raises(ConfigError, match="threshold_db"):
+        parse_scenario(write_scn(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_number_names_the_line(tmp_path, value):
+    text = f"bandwidth = 8000\nchirp = 0.1\n\n[tap]\ndelay_p = {value}\n"
+    with pytest.raises(ConfigError, match=rf"case.scn:5: expected a finite number, got '{value}'"):
         parse_scenario(write_scn(tmp_path, text))
 
 
