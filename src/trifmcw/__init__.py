@@ -8,7 +8,6 @@ conventional single-chirp limit.
 
 from .beat import (
     BeatSegments,
-    BeatSignal,
     PhaseConsistency,
     Segment,
     analytic_beat,
@@ -45,7 +44,6 @@ __all__ = [
     "ChannelModel",
     "apply_channel",
     "rayleigh_taps",
-    "BeatSignal",
     "Segment",
     "BeatSegments",
     "PhaseConsistency",

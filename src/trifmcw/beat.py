@@ -27,7 +27,6 @@ import numpy as np
 from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
 __all__ = [
-    "BeatSignal",
     "Segment",
     "BeatSegments",
     "PhaseConsistency",
@@ -52,39 +51,17 @@ def wrap_to_pi(angle):
 
 
 @dataclass(frozen=True)
-class BeatSignal:
-    """Conjugate-mixed beat samples plus the transmit spec they came from."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    spec: WaveformSpec
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("beat samples must be finite")
-        if arr.size != self.spec.num_samples:
-            raise ValueError(
-                f"beat length {arr.size} does not match the spec's "
-                f"{self.spec.num_samples} samples"
-            )
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class Segment:
-    """One beat segment: (t_start, t_end] in time, [n_start, n_stop) on the grid."""
+    """One beat segment: grid samples [n_start, n_stop).
 
-    t_start: float
-    t_end: float
+    Constant segments carry their tone frequency, the transition segment
+    its chirp rate; the segment phases are stated in the module docstring.
+    """
+
     n_start: int
     n_stop: int
     frequency_hz: float | None
     chirp_rate_hz_per_s: float | None
-    phase_offset_rad: float
 
 
 @dataclass(frozen=True)
@@ -116,33 +93,20 @@ def beat_segments(spec: WaveformSpec, tau: float) -> BeatSegments:
     """Describe the three segments of the triangle beat for delay `tau`."""
     _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
     a = spec.slope
-    B = spec.bandwidth_hz
-    tc = spec.chirp_duration_s
-    ts = spec.symbol_duration_s
     start1, start2, start3, stop = _segment_edges(spec, tau)
-    seg1 = Segment(tau, tc, start1, start2, -a * tau, None, np.pi * a * tau**2)
-    seg2 = Segment(
-        tc, tc + tau, start2, start3, None, 2.0 * a,
-        np.pi * (a * tau**2 + 2.0 * B * tc),
-    )
-    seg3 = Segment(
-        tc + tau, ts, start3, stop, a * tau, None,
-        -np.pi * (4.0 * B * tau + a * tau**2),
-    )
+    seg1 = Segment(start1, start2, -a * tau, None)
+    seg2 = Segment(start2, start3, None, 2.0 * a)
+    seg3 = Segment(start3, stop, a * tau, None)
     return BeatSegments(seg1, seg2, seg3)
 
 
-def mix(tx: ComplexSignal, rx: ComplexSignal) -> BeatSignal:
-    """Beat signal conj(tx[n]) * rx[n]; no normalization."""
+def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
+    """Beat signal conj(tx[n]) * rx[n] on the transmit grid; no normalization."""
     if len(tx) != len(rx):
         raise ValueError(f"length mismatch: tx has {len(tx)}, rx has {len(rx)}")
-    if tx.sample_rate_hz != rx.sample_rate_hz:
-        raise ValueError(
-            f"sample rate mismatch: tx {tx.sample_rate_hz}, rx {rx.sample_rate_hz}"
-        )
-    if tx.spec is None:
-        raise ValueError("transmit signal carries no waveform spec")
-    return BeatSignal(np.conj(tx.samples) * rx.samples, tx.sample_rate_hz, tx.spec)
+    if tx.spec != rx.spec:
+        raise ValueError(f"spec mismatch: tx {tx.spec}, rx {rx.spec}")
+    return ComplexSignal(np.conj(tx.samples) * rx.samples, tx.spec)
 
 
 def _check_triangle_oracle_args(spec, tau, require_f0_zero=True):
@@ -158,7 +122,7 @@ def _check_triangle_oracle_args(spec, tau, require_f0_zero=True):
         )
 
 
-def analytic_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
+def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     """Closed-form triangle beat for a unit-gain path at delay `tau`.
 
     Evaluates the three-segment expression on the sample grid, zero before
@@ -169,9 +133,8 @@ def analytic_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
     a = spec.slope
     B = spec.bandwidth_hz
     tc = spec.chirp_duration_s
-    fs = spec.sample_rate_hz
     n = np.arange(spec.num_samples)
-    t = n / fs
+    t = n / spec.sample_rate_hz
     start1, start2, start3, _ = _segment_edges(spec, tau)
 
     phase = np.zeros(n.size, dtype=np.float64)
@@ -189,10 +152,10 @@ def analytic_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
 
     out = np.exp(1j * phase)
     out[:start1] = 0.0
-    return BeatSignal(out, fs, spec)
+    return ComplexSignal(out, spec)
 
 
-def reference_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
+def reference_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     """Single-tone beat of the doubled-bandwidth extended sweep.
 
     The tone sits at -alpha*tau with phase offset pi*alpha*tau^2 (minus
@@ -202,9 +165,7 @@ def reference_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
     """
     _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
     a = spec.slope
-    fs = spec.sample_rate_hz
-    n_s = 2 * spec.samples_per_chirp
-    t = np.arange(n_s) / fs
+    t = np.arange(spec.num_samples) / spec.sample_rate_hz
     start1, _, _, _ = _segment_edges(spec, tau)
     # written as the first-segment expression so the two agree bit-for-bit
     phase = np.pi * (-2.0 * a * tau * t + a * tau**2) - (
@@ -212,15 +173,13 @@ def reference_beat(spec: WaveformSpec, tau: float) -> BeatSignal:
     )
     out = np.exp(1j * phase)
     out[:start1] = 0.0
-    return BeatSignal(out, fs, spec)
+    return ComplexSignal(out, spec)
 
 
 @dataclass(frozen=True)
 class PhaseConsistency:
     """Outcome of the segment-three phase alignment check."""
 
-    phi_seg3_start: float
-    phi_extended: float
     mismatch: float
     consistent: bool
 
@@ -242,4 +201,4 @@ def phase_consistency(
     phi_seg3 = float(wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau)))
     phi_ext = float(wrap_to_pi(np.pi * (-a * tau**2 - 2.0 * B * tau)))
     mismatch = float(wrap_to_pi(phi_seg3 + phi_ext))
-    return PhaseConsistency(phi_seg3, phi_ext, mismatch, abs(mismatch) < tolerance)
+    return PhaseConsistency(mismatch, abs(mismatch) < tolerance)

@@ -79,7 +79,7 @@ def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
             out += tap.gain * sig.samples
         else:
             out[d:] += tap.gain * sig.samples[:-d]
-    return ComplexSignal(out, sig.sample_rate_hz, sig.spec)
+    return ComplexSignal(out, sig.spec)
 
 
 class _SplitMix64:

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import csvio, experiments
-from .beat import BeatSignal
 from .errors import ConfigError
 from .scenario import parse_scenario
 from .spectrum import (
@@ -29,7 +28,7 @@ from .spectrum import (
     detect_peaks,
     range_profile,
 )
-from .waveform import WaveformKind, WaveformSpec, generate, spectrogram
+from .waveform import ComplexSignal, WaveformKind, WaveformSpec, generate, spectrogram
 
 __all__ = ["main"]
 
@@ -136,7 +135,6 @@ def _mapping_from(args) -> RangeMapping | None:
 
 
 def _cmd_simulate(args) -> int:
-    mapping = _mapping_from(args)
     if args.scenario in experiments.BUILTIN_SCENARIOS:
         for flag, value in (("--threshold-db", args.threshold_db), ("--fs", args.fs)):
             if value is not None:
@@ -146,7 +144,7 @@ def _cmd_simulate(args) -> int:
                 )
         report = experiments.run_named_scenario(
             args.scenario, seed=args.seed if args.seed is not None else 1,
-            mapping=mapping,
+            mapping=_mapping_from(args),
         )
     else:
         cfg = parse_scenario(args.scenario)
@@ -161,9 +159,11 @@ def _cmd_simulate(args) -> int:
             cfg.threshold_db = args.threshold_db
         if args.fs is not None:
             cfg.sample_rate_hz = args.fs
-        if mapping is not None:
-            cfg.speed_mps = mapping.propagation_speed_mps
-            cfg.round_trip = mapping.round_trip
+        # Each flag overrides only its own field of the file.
+        if args.speed is not None:
+            cfg.speed_mps = args.speed
+        if args.one_way:
+            cfg.round_trip = False
         report = experiments.run_custom(cfg)
 
     out = _out_dir(args)
@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_profile(args) -> int:
     samples, meta = csvio.read_signal_csv(args.beat_csv)
     spec = csvio.spec_from_meta(meta, args.beat_csv)
-    beat = BeatSignal(samples, spec.sample_rate_hz, spec)
+    beat = ComplexSignal(samples, spec)
     mapping = _mapping_from(args) or RangeMapping()
     profile = range_profile(beat, mapping)
     peaks = detect_peaks(profile, args.threshold_db)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .beat import BeatSignal, mix
+from .beat import mix
 from .channel import ChannelModel, ChannelTap, apply_channel, rayleigh_taps
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
@@ -88,7 +88,7 @@ class AssertionResult:
 @dataclass
 class MethodResult:
     method: str
-    beat: BeatSignal
+    beat: ComplexSignal
     profile: RangeProfile
     peaks: PeakSet
     metrics: dict
@@ -113,7 +113,7 @@ class ExperimentReport:
 
 def _pipeline(
     tx: ComplexSignal, channel: ChannelModel, mapping: RangeMapping
-) -> tuple[BeatSignal, RangeProfile]:
+) -> tuple[ComplexSignal, RangeProfile]:
     rx = apply_channel(tx, channel)
     beat = mix(tx, rx)
     return beat, range_profile(beat, mapping)
@@ -158,10 +158,10 @@ def _real_clamped_gain(gain: complex, lo: float, hi: float) -> complex:
     return complex(min(max(abs(gain), lo), hi), 0.0)
 
 
-def _spec_trio(fs: float | None = None):
+def _spec_trio():
     kinds = (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH, WaveformKind.GENTLE)
     return {
-        kind.value: WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, fs)
+        kind.value: WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S)
         for kind in kinds
     }
 

@@ -47,7 +47,6 @@ class TapConfig:
     delay_p: float | None = None
     range_m: float | None = None
     gain: complex | str = 1.0 + 0.0j  # complex value or the string "rayleigh"
-    line: int = 0
 
     def resolve_delay(self, bandwidth_hz: float, mapping: RangeMapping) -> float:
         if self.delay_s is not None:
@@ -231,7 +230,7 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
         bad, (_, lineno) = next(iter(fields.items()))
         raise ConfigError(f"{path}:{lineno}: unknown tap key {bad!r}")
 
-    tap = TapConfig(gain=gain, line=block_line)
+    tap = TapConfig(gain=gain)
     setattr(tap, key, value)
     return tap
 

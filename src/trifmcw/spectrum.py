@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beat import BeatSignal
+from .waveform import ComplexSignal
 
 __all__ = [
     "RangeMapping",
@@ -48,9 +48,10 @@ class RangeMapping:
     round_trip: bool = True
 
     def __post_init__(self):
-        if self.propagation_speed_mps <= 0:
+        if not 0 < self.propagation_speed_mps < math.inf:
             raise ValueError(
-                f"propagation speed must be > 0, got {self.propagation_speed_mps}"
+                f"propagation speed must be finite and > 0, "
+                f"got {self.propagation_speed_mps}"
             )
 
     @property
@@ -121,18 +122,18 @@ class PeakSet:
         return tuple(p.bin_p for p in self.peaks)
 
 
-def _real_part(beat: BeatSignal) -> np.ndarray:
+def _real_part(beat: ComplexSignal) -> np.ndarray:
     if len(beat) < 2:
         raise ValueError("beat must hold at least two samples")
     return np.real(beat.samples)
 
 
-def real_part_spectrum(beat: BeatSignal) -> np.ndarray:
+def real_part_spectrum(beat: ComplexSignal) -> np.ndarray:
     """Full-length DFT of Re(beat); Hermitian-symmetric by construction."""
     return np.fft.fft(_real_part(beat))
 
 
-def range_profile(beat: BeatSignal, mapping: RangeMapping | None = None) -> RangeProfile:
+def range_profile(beat: ComplexSignal, mapping: RangeMapping | None = None) -> RangeProfile:
     """Power-vs-range profile over the non-negative-frequency bins.
 
     The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; it
@@ -201,7 +202,7 @@ def detect_peaks(
     return PeakSet(peaks)
 
 
-def energy_dominance(beat: BeatSignal, p: int) -> float:
+def energy_dominance(beat: ComplexSignal, p: int) -> float:
     """Fraction of the real-part signal energy held by the +/-p bin pair.
 
     Computed as (|Y(p)|^2 + |Y(-p)|^2) / (N * sum(Re(beat)^2)); the

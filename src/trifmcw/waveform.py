@@ -21,6 +21,7 @@ sample at ``t = Tc`` belongs to the second half of a two-part waveform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,6 +82,12 @@ class WaveformSpec:
     def __post_init__(self):
         kind = WaveformKind(self.kind)
         object.__setattr__(self, "kind", kind)
+        for name in (
+            "bandwidth_hz", "chirp_duration_s", "start_freq_hz", "sample_rate_hz"
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if self.chirp_duration_s <= 0:
@@ -97,6 +104,11 @@ class WaveformSpec:
                 f"(2x the widest instantaneous frequency of a {kind.value} waveform)"
             )
         n = fs * self.chirp_duration_s
+        if not 1.0 - _GRID_TOL <= n < math.inf:
+            raise ConfigError(
+                f"fs*Tc must be at least one sample per chirp, got {n!r} "
+                f"(fs={fs}, Tc={self.chirp_duration_s})"
+            )
         if abs(n - round(n)) > _GRID_TOL * max(1.0, n):
             raise ConfigError(
                 f"fs*Tc must be an integer sample count, got {n!r} "
@@ -110,7 +122,7 @@ class WaveformSpec:
 
     @property
     def effective_slope(self) -> float:
-        """Slope of the beat-to-range mapping: alpha/2 for GENTLE, alpha otherwise."""
+        """Ramp chirp rate and beat-to-range slope: alpha/2 for GENTLE, else alpha."""
         if self.kind is WaveformKind.GENTLE:
             return self.slope / 2.0
         return self.slope
@@ -141,27 +153,33 @@ class WaveformSpec:
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """Uniformly sampled complex baseband signal.
+    """Complex baseband samples on the grid of the spec they belong to.
 
     Attributes:
-        samples: complex sample buffer
-        sample_rate_hz: fs of the buffer; sample ``n`` is at ``t = n/fs``
-        spec: the waveform spec that produced the signal, when known;
-            carried through channel application so the beat stage can
-            recover slope and duration.
+        samples: one complex sample per grid point, ``spec.num_samples`` in
+            all; sample ``n`` is at ``t = n/fs``
+        spec: the waveform spec that owns the grid (fs, length) and the
+            chirp rate; carried through channel application and mixing so
+            the beat stage can recover slope and duration.
     """
 
     samples: np.ndarray
-    sample_rate_hz: float
-    spec: WaveformSpec | None = None
+    spec: WaveformSpec
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("signal must hold at least one sample")
+        if arr.shape != (self.spec.num_samples,):
+            raise ValueError(
+                f"signal shape {arr.shape} does not match the spec's grid of "
+                f"{self.spec.num_samples} samples"
+            )
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal samples must be finite")
         object.__setattr__(self, "samples", arr)
+
+    @property
+    def sample_rate_hz(self) -> float:
+        return self.spec.sample_rate_hz
 
     def __len__(self) -> int:
         return self.samples.size
@@ -189,25 +207,17 @@ def _triangle_phase(spec: WaveformSpec, t: np.ndarray, down: np.ndarray) -> np.n
 
 def generate(spec: WaveformSpec) -> ComplexSignal:
     """Synthesize the unit-amplitude baseband waveform described by `spec`."""
-    fs = spec.sample_rate_hz
     n = np.arange(spec.num_samples)
-    t = n / fs
-    a = spec.slope
-    f0 = spec.start_freq_hz
-    kind = spec.kind
-
-    if kind in (WaveformKind.LINEAR, WaveformKind.EXTENDED):
-        phase = np.pi * a * t**2 + 2.0 * np.pi * f0 * t
-    elif kind is WaveformKind.GENTLE:
-        phase = np.pi * (a / 2.0) * t**2 + 2.0 * np.pi * f0 * t
-    elif kind is WaveformKind.SAWTOOTH:
-        # Second chirp is an independent restart: local time, phase reset to 0.
-        tloc = np.where(n < spec.samples_per_chirp, t, t - spec.chirp_duration_s)
-        phase = np.pi * a * tloc**2 + 2.0 * np.pi * f0 * tloc
-    else:
+    t = n / spec.sample_rate_hz
+    if spec.kind is WaveformKind.TRIANGLE:
         phase = _triangle_phase(spec, t, n >= spec.samples_per_chirp)
-
-    return ComplexSignal(np.exp(1j * phase), fs, spec)
+    else:
+        if spec.kind is WaveformKind.SAWTOOTH:
+            # Second chirp is an independent restart: local time, phase reset to 0.
+            t = np.where(n < spec.samples_per_chirp, t, t - spec.chirp_duration_s)
+        f0 = spec.start_freq_hz
+        phase = np.pi * spec.effective_slope * t**2 + 2.0 * np.pi * f0 * t
+    return ComplexSignal(np.exp(1j * phase), spec)
 
 
 def spectrogram(sig: ComplexSignal, window_len: int, hop: int) -> np.ndarray:

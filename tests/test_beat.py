@@ -51,6 +51,14 @@ def test_mix_rejects_mismatched_inputs():
         mix(tx, short)
 
 
+def test_mix_rejects_equal_length_signals_of_different_specs():
+    tx = generate(SPEC)
+    saw = generate(WaveformSpec(WaveformKind.SAWTOOTH, B, TC))
+    assert len(tx) == len(saw)
+    with pytest.raises(ValueError, match="spec mismatch"):
+        mix(tx, saw)
+
+
 def test_oracle_matches_mix_at_p4():
     tau = tap_of(4)
     got = mixed_beat(SPEC, tau).samples

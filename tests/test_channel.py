@@ -6,6 +6,8 @@ from trifmcw import (
     ChannelTap,
     ComplexSignal,
     GridAlignmentError,
+    WaveformKind,
+    WaveformSpec,
     apply_channel,
     rayleigh_taps,
 )
@@ -14,7 +16,9 @@ FS = 1000.0
 
 
 def sig_of(values):
-    return ComplexSignal(np.asarray(values, dtype=complex), FS)
+    values = np.asarray(values, dtype=complex)
+    spec = WaveformSpec(WaveformKind.LINEAR, FS / 2, values.size / FS, sample_rate_hz=FS)
+    return ComplexSignal(values, spec)
 
 
 def test_identity_tap():

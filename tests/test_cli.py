@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from trifmcw.cli import main
 
 
@@ -182,3 +186,56 @@ def test_profile_missing_file_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and str(missing) in err
     assert len(err.splitlines()) == 1
+
+
+def test_speed_flag_keeps_the_files_one_way(tmp_path):
+    scn = tmp_path / "delay_p.scn"
+    scn.write_text("bandwidth = 8000\nchirp = 0.1\none_way = true\n\n[tap]\ndelay_p = 24\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--speed", "340", "--out", str(out)) == 0
+    constants = json.loads((out / "metrics.json").read_text())["constants"]
+    assert constants["speed_mps"] == 340.0
+    assert constants["round_trip"] is False
+
+
+def test_one_way_flag_keeps_the_files_speed(tmp_path):
+    # 0.51 m one way at 340 m/s is 1.5 ms, sample 24; at 343 m/s it is off the grid.
+    scn = tmp_path / "range.scn"
+    scn.write_text("bandwidth = 8000\nchirp = 0.1\nspeed = 340\n\n[tap]\nrange_m = 0.51\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--one-way", "--out", str(out)) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["constants"]["speed_mps"] == 340.0
+    assert metrics["constants"]["round_trip"] is False
+    assert metrics["methods"]["triangle"]["peak_bins"] == [24]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["simulate", "four_path", "--speed", "nan"], "propagation speed"),
+        (["simulate", "four_path", "--speed", "inf"], "propagation speed"),
+        (["waveform", "--bandwidth", "inf", "--chirp", "0.1"], "bandwidth_hz"),
+        (["waveform", "--bandwidth", "8000", "--chirp", "nan"], "chirp_duration_s"),
+        (["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--f0", "nan"],
+         "start_freq_hz"),
+        (["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--fs", "inf"],
+         "sample_rate_hz"),
+    ],
+)
+def test_non_finite_flag_exits_two_naming_it(tmp_path, capsys, argv, names):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and names in err
+    assert not out.exists()
+
+
+def test_profile_of_truncated_beat_names_both_lengths(tmp_path, capsys):
+    sim_out = tmp_path / "sim"
+    assert run("simulate", "four_path", "--out", str(sim_out)) == 0
+    beat = sim_out / "beat_triangle_det.csv"
+    beat.write_text("".join(beat.read_text().splitlines(keepends=True)[:-1]))
+    assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "3199" in err and "3200" in err

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from trifmcw import (
-    BeatSignal,
     ChannelModel,
     ChannelTap,
+    ComplexSignal,
     Peak,
     PeakSet,
     RangeMapping,
@@ -103,7 +103,7 @@ def test_range_profile_bin_mapping():
 
 
 def test_zero_beat_gives_zero_profile_and_no_peaks():
-    beat = BeatSignal(np.zeros(SPEC.num_samples, complex), SPEC.sample_rate_hz, SPEC)
+    beat = ComplexSignal(np.zeros(SPEC.num_samples, complex), SPEC)
     profile = range_profile(beat, MAP)
     assert np.all(profile.bin_power == 0)
     assert len(detect_peaks(profile)) == 0
@@ -244,9 +244,15 @@ def test_dc_peak_detected_at_boundary_bin():
     assert peaks.bins == (0,)
 
 
+@pytest.mark.parametrize("speed", [0.0, -343.0, np.inf, np.nan])
+def test_range_mapping_rejects_bad_speed(speed):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        RangeMapping(speed)
+
+
 def test_range_profile_rejects_single_sample_beat():
     one = WaveformSpec(WaveformKind.LINEAR, 5.0, 0.1)  # fs*Tc = 1 sample
-    beat = BeatSignal(np.ones(1, complex), one.sample_rate_hz, one)
+    beat = ComplexSignal(np.ones(1, complex), one)
     with pytest.raises(ValueError, match="at least two samples"):
         range_profile(beat, MAP)
 

@@ -14,6 +14,11 @@ def tri_spec(**kw):
     return WaveformSpec(WaveformKind.TRIANGLE, **args)
 
 
+def linear_spec(n, fs):
+    """A LINEAR spec whose grid holds `n` samples at `fs`."""
+    return WaveformSpec(WaveformKind.LINEAR, fs / 2, n / fs, sample_rate_hz=fs)
+
+
 def test_spec_derived_quantities():
     spec = tri_spec()
     assert spec.slope == B / TC
@@ -36,6 +41,23 @@ def test_gentle_effective_slope_halved():
 def test_non_integral_fs_tc_rejected():
     with pytest.raises(ConfigError, match="integer sample count"):
         WaveformSpec(WaveformKind.TRIANGLE, B, 0.10001, sample_rate_hz=16000.0)
+
+
+def test_grid_below_one_sample_per_chirp_rejected():
+    # fs*Tc = 2e-10 would round to an empty grid
+    with pytest.raises(ConfigError, match="at least one sample per chirp"):
+        WaveformSpec(WaveformKind.LINEAR, 1e-3, 1e-7)
+
+
+@pytest.mark.parametrize(
+    "field", ["bandwidth_hz", "chirp_duration_s", "start_freq_hz", "sample_rate_hz"]
+)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_spec_field_rejected_by_name(field, value):
+    args = dict(bandwidth_hz=B, chirp_duration_s=TC, start_freq_hz=0.0, sample_rate_hz=FS)
+    args[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        WaveformSpec(WaveformKind.TRIANGLE, **args)
 
 
 def test_fs_below_nyquist_bound_rejected():
@@ -135,7 +157,7 @@ def _frame_freqs(matrix, fs, window_len):
 
 
 def test_spectrogram_constant_signal_all_dc():
-    sig = ComplexSignal(np.ones(512, dtype=complex), 1000.0)
+    sig = ComplexSignal(np.ones(512, dtype=complex), linear_spec(512, 1000.0))
     mat = spectrogram(sig, window_len=64, hop=32)
     assert mat.shape[0] == (512 - 64) // 32 + 1
     assert np.all(np.argmax(mat, axis=1) == 0)
@@ -171,11 +193,19 @@ def test_spectrogram_sawtooth_resets_at_midpoint():
 
 
 def test_spectrogram_window_longer_than_signal_rejected():
-    sig = ComplexSignal(np.ones(16, dtype=complex), 100.0)
+    sig = ComplexSignal(np.ones(16, dtype=complex), linear_spec(16, 100.0))
     with pytest.raises(ValueError, match="window_len"):
         spectrogram(sig, window_len=32, hop=8)
 
 
+def test_signal_rejects_buffer_off_its_spec_grid():
+    spec = tri_spec()
+    with pytest.raises(ValueError, match=r"shape \(3199,\) does not match .* 3200"):
+        ComplexSignal(np.ones(3199, dtype=complex), spec)
+    with pytest.raises(ValueError, match="does not match"):
+        ComplexSignal(np.ones((2, 1600), dtype=complex), spec)
+
+
 def test_signal_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
-        ComplexSignal(np.array([1.0, np.nan * 1j]), 100.0)
+        ComplexSignal(np.array([1.0, np.nan * 1j]), linear_spec(2, 100.0))
