@@ -18,6 +18,8 @@ from .waveform import ComplexSignal
 
 __all__ = ["ChannelTap", "ChannelModel", "apply_channel", "rayleigh_taps"]
 
+_BLOCK = 1 << 15  # output samples per scaled-copy block in apply_channel
+
 
 @dataclass(frozen=True)
 class ChannelTap:
@@ -64,9 +66,14 @@ def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
     """Superimpose delayed, scaled copies of `sig`, one per tap.
 
     Samples that would come from before the start of the input contribute
-    zero, and the tail shifted past the input length is dropped.
+    zero, and the tail shifted past the input length is dropped. Each tap is
+    added over blocks of ``_BLOCK`` output samples, so the scaled copy it
+    makes stays small whatever the signal length.
     """
     n = len(sig)
+    x = sig.samples
+    # Accumulated onto zeros, never assigned: a first tap written straight
+    # into `out` would keep the -0.0 parts that adding to +0.0 clears.
     out = np.zeros(n, dtype=np.complex128)
     for i, tap in enumerate(channel.taps):
         d = delay_in_samples(tap.delay_s, sig.sample_rate_hz, i)
@@ -75,10 +82,9 @@ def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
                 f"tap {i} delay {tap.delay_s} s is {d} samples, beyond the "
                 f"signal length {n}"
             )
-        if d == 0:
-            out += tap.gain * sig.samples
-        else:
-            out[d:] += tap.gain * sig.samples[:-d]
+        for a in range(d, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            out[a:b] += tap.gain * x[a - d : b - d]
     return ComplexSignal(out, sig.spec)
 
 

@@ -15,6 +15,7 @@ invariant violated or an input/output file could not be read or written
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -151,10 +152,11 @@ def _cmd_simulate(args) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.threshold_db is not None:
-            if args.threshold_db > 0:
+            # Written this way round so that nan fails the test too.
+            if not -math.inf < args.threshold_db <= 0:
                 raise ConfigError(
-                    f"threshold_db must be <= 0 dB relative to the profile "
-                    f"maximum, got {args.threshold_db}"
+                    f"threshold_db must be finite and <= 0 dB relative to the "
+                    f"profile maximum, got {args.threshold_db}"
                 )
             cfg.threshold_db = args.threshold_db
         if args.fs is not None:

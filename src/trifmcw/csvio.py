@@ -16,6 +16,7 @@ is held in memory; the reader fills a preallocated array.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -112,6 +113,7 @@ def _parse_block(lines: list[str], out: np.ndarray, first: int) -> bool:
     fields = ",".join(lines).split(",")
     try:
         index = list(map(int, fields[0::4]))
+        deque(map(float, fields[1::4]), maxlen=0)  # t must parse; its value is unused
         re = list(map(float, fields[2::4]))
         im = list(map(float, fields[3::4]))
     except ValueError:
@@ -167,6 +169,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
                 raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
                 n = int(parts[0])
+                float(parts[1])
                 re = float(parts[2])
                 im = float(parts[3])
             except ValueError as exc:

@@ -19,6 +19,7 @@ import numpy as np
 from . import csvio
 from .beat import mix
 from .channel import ChannelModel, ChannelTap, apply_channel, rayleigh_taps
+from .errors import ConfigError
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
     DEFAULT_THRESHOLD_DB,
@@ -114,8 +115,8 @@ class ExperimentReport:
 def _pipeline(
     tx: ComplexSignal, channel: ChannelModel, mapping: RangeMapping
 ) -> tuple[ComplexSignal, RangeProfile]:
-    rx = apply_channel(tx, channel)
-    beat = mix(tx, rx)
+    # No name holds the received signal, so it is freed before the FFT.
+    beat = mix(tx, apply_channel(tx, channel))
     return beat, range_profile(beat, mapping)
 
 
@@ -516,6 +517,27 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
     return report
 
 
+def _check_triangle_delays(
+    channel: ChannelModel, chirp_s: float, mapping: RangeMapping
+) -> None:
+    """Reject taps outside the triangle beat's validity domain, 0 <= tau < Tc.
+
+    The three-segment beat of the triangle method assumes the echo of the
+    up ramp ends inside the symbol; a longer delay aliases to a wrong range
+    while still passing every check.
+    """
+    for i, tap in enumerate(channel.taps):
+        if tap.delay_s >= chirp_s:
+            formula = "c*Tc/2 round trip" if mapping.round_trip else "c*Tc one way"
+            raise ConfigError(
+                f"tap {i} delay {tap.delay_s:.6g} s (range "
+                f"{mapping.delay_to_range(tap.delay_s):.6g} m) is not below the "
+                f"chirp duration Tc={chirp_s:.6g} s; the triangle method's maximum "
+                f"unambiguous range is {mapping.delay_to_range(chirp_s):.6g} m "
+                f"({formula})"
+            )
+
+
 def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
     """Run a scenario file: each configured method over the configured taps."""
     mapping = cfg.mapping
@@ -546,6 +568,8 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
             )
         )
         return report
+    if WaveformKind.TRIANGLE in cfg.methods:
+        _check_triangle_delays(channel, cfg.chirp_duration_s, mapping)
     for kind in cfg.methods:
         spec = WaveformSpec(
             kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz

@@ -167,7 +167,7 @@ def detect_peaks(
     single target straddling a bin boundary only drops about 9 dB at the
     flanks. Twins are not themselves visited, so a twin never seeds another.
     """
-    if rel_threshold_db > 0:
+    if not rel_threshold_db <= 0:  # nan fails this test too
         raise ValueError(f"rel_threshold_db must be <= 0, got {rel_threshold_db}")
     power = profile.bin_power
     n = power.size

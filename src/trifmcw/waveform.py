@@ -97,11 +97,14 @@ class WaveformSpec:
                 self, "sample_rate_hz", default_sample_rate(kind, self.bandwidth_hz)
             )
         fs = self.sample_rate_hz
-        min_fs = 2.0 * self.swept_bandwidth_hz
+        f0 = self.start_freq_hz
+        edge = max(abs(f0), abs(f0 + self.swept_bandwidth_hz))
+        min_fs = 2.0 * edge
         if fs < min_fs * (1.0 - _GRID_TOL):
             raise ConfigError(
                 f"fs={fs} Hz is below the complex-baseband bound {min_fs} Hz "
-                f"(2x the widest instantaneous frequency of a {kind.value} waveform)"
+                f"(2x the band edge |f|={edge} Hz of a {kind.value} waveform "
+                f"sweeping from f0={f0} Hz); below it the sweep wraps around"
             )
         n = fs * self.chirp_duration_s
         if not 1.0 - _GRID_TOL <= n < math.inf:
@@ -185,39 +188,56 @@ class ComplexSignal:
         return self.samples.size
 
 
-def _triangle_phase(spec: WaveformSpec, t: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """Phase of the triangle waveform on the sample grid.
+def _triangle_phase(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
+    """Phase of the triangle waveform; `t` holds local time and is overwritten.
 
     Up ramp:   pi*alpha*t^2 + 2*pi*f0*t
     Down ramp: phase is continued from the up ramp's value at Tc and the
     instantaneous frequency mirrors from f0+B back down to f0:
 
         phi(t) = phi_up(Tc) + 2*pi*(f0+B)*(t-Tc) - pi*alpha*(t-Tc)^2
+
+    The second half of `t` arrives as ``t - Tc``. Both halves are written
+    into one array in place, each product with the operand order of the
+    formulas above, so no full-length temporary is made.
     """
     a = spec.slope
     f0 = spec.start_freq_hz
     B = spec.bandwidth_hz
     tc = spec.chirp_duration_s
-    up = np.pi * a * t**2 + 2.0 * np.pi * f0 * t
+    nc = spec.samples_per_chirp
+    phase = np.square(t)
+    phase *= np.pi * a
+    t_up, t_down = t[:nc], t[nc:]
+    t_up *= 2.0 * np.pi * f0
+    phase[:nc] += t_up
     phi_tc = np.pi * a * tc**2 + 2.0 * np.pi * f0 * tc
-    td = t - tc
-    dn = phi_tc + 2.0 * np.pi * (f0 + B) * td - np.pi * a * td**2
-    return np.where(down, dn, up)
+    t_down *= 2.0 * np.pi * (f0 + B)
+    t_down += phi_tc
+    np.subtract(t_down, phase[nc:], out=phase[nc:])
+    return phase
 
 
 def generate(spec: WaveformSpec) -> ComplexSignal:
     """Synthesize the unit-amplitude baseband waveform described by `spec`."""
-    n = np.arange(spec.num_samples)
-    t = n / spec.sample_rate_hz
+    t = np.arange(spec.num_samples, dtype=np.float64) / spec.sample_rate_hz
+    if spec.kind in (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH):
+        # The second chirp runs on local time: the sawtooth restarts at phase
+        # zero, the triangle's down ramp continues from the up ramp's end.
+        t[spec.samples_per_chirp:] -= spec.chirp_duration_s
     if spec.kind is WaveformKind.TRIANGLE:
-        phase = _triangle_phase(spec, t, n >= spec.samples_per_chirp)
+        phase = _triangle_phase(spec, t)
     else:
-        if spec.kind is WaveformKind.SAWTOOTH:
-            # Second chirp is an independent restart: local time, phase reset to 0.
-            t = np.where(n < spec.samples_per_chirp, t, t - spec.chirp_duration_s)
-        f0 = spec.start_freq_hz
-        phase = np.pi * spec.effective_slope * t**2 + 2.0 * np.pi * f0 * t
-    return ComplexSignal(np.exp(1j * phase), spec)
+        phase = np.square(t)
+        phase *= np.pi * spec.effective_slope
+        t *= 2.0 * np.pi * spec.start_freq_hz
+        phase += t
+    # cos and sin written straight into one complex array give the bits of
+    # np.exp(1j * phase) without its complex temporaries.
+    samples = np.empty(spec.num_samples, dtype=np.complex128)
+    np.cos(phase, out=samples.real)
+    np.sin(phase, out=samples.imag)
+    return ComplexSignal(samples, spec)
 
 
 def spectrogram(sig: ComplexSignal, window_len: int, hop: int) -> np.ndarray:

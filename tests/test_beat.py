@@ -233,7 +233,9 @@ def test_oracle_requires_triangle_and_zero_f0():
     lin = WaveformSpec(WaveformKind.LINEAR, B, TC)
     with pytest.raises(ValueError, match="triangle"):
         analytic_beat(lin, tap_of(4))
-    shifted = WaveformSpec(WaveformKind.TRIANGLE, B, TC, start_freq_hz=100.0)
+    shifted = WaveformSpec(
+        WaveformKind.TRIANGLE, B, TC, start_freq_hz=100.0, sample_rate_hz=4 * B
+    )
     with pytest.raises(ValueError, match="start frequency"):
         analytic_beat(shifted, tap_of(4))
     with pytest.raises(ValueError, match="tau"):

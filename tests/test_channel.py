@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trifmcw import (
     ChannelModel,
@@ -145,3 +147,53 @@ def test_rayleigh_taps_known_answer():
 def test_non_finite_tap_delay_rejected(delay):
     with pytest.raises(ValueError, match="finite"):
         ChannelTap(delay, 1.0)
+
+
+def _full_slice_apply_channel(x, delays, gains):
+    """Each tap added as one full-length scaled slice, in order of delay."""
+    out = np.zeros(x.size, dtype=np.complex128)
+    for d, g in sorted(zip(delays, gains), key=lambda tap: tap[0]):
+        if d == 0:
+            out += g * x
+        else:
+            out[d:] += g * x[:-d]
+    return out
+
+
+_GAINS = st.one_of(
+    st.sampled_from([1.0 + 0.0j, complex(-1.25, -0.0), complex(0.0, -0.0), 0.3 - 0.4j]),
+    st.builds(complex, st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0])),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _channel_cases(draw):
+    # Half the cases span more than one accumulation block of 2**15 samples.
+    n = draw(st.one_of(st.integers(1, 2**15), st.integers(2**15 + 1, 70_000)))
+    delays = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    )
+    gains = draw(st.lists(_GAINS, min_size=len(delays), max_size=len(delays)))
+    return n, delays, gains, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_channel_cases())
+@example(case=(70_000, [0, 69_999], [complex(0.5, -0.0), complex(-1.25, 0.0)], 1))
+@example(case=(2**15 + 1, [2**15, 1, 0], [complex(1.0, -0.0), 0.3 - 0.4j, -1.0], 2))
+@example(case=(40_000, [0], [complex(-1.25, -0.0)], 3))
+@example(case=(1, [0], [complex(0.0, -0.0)], 4))
+def test_apply_channel_equals_the_full_slice_loop_bitwise(case):
+    n, delays, gains, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # Signed zeros, where the sign of a sum depends on the order of addition.
+    x.real[rng.random(n) < 0.1] = -0.0
+    x.imag[rng.random(n) < 0.1] = 0.0
+    channel = ChannelModel(
+        tuple(ChannelTap(d / FS, g) for d, g in zip(delays, gains))
+    )
+    got = apply_channel(sig_of(x), channel).samples
+    want = _full_slice_apply_channel(x, delays, gains)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

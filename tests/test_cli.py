@@ -239,3 +239,73 @@ def test_profile_of_truncated_beat_names_both_lengths(tmp_path, capsys):
     assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "3199" in err and "3200" in err
+
+
+def _scn(tmp_path, body, name="x.scn"):
+    path = tmp_path / name
+    path.write_text("bandwidth = 8000\nchirp = 0.1\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "3"])
+def test_simulate_threshold_must_be_finite_and_not_positive(tmp_path, capsys, value):
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), f"--threshold-db={value}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "threshold_db" in err
+    assert not out.exists()
+
+
+def test_profile_nan_threshold_exits_two(tmp_path, capsys):
+    wave = tmp_path / "wave"
+    assert run("waveform", "--bandwidth", "8000", "--chirp", "0.1", "--out", str(wave)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run("profile", str(wave / "waveform.csv"), "--threshold-db", "nan",
+               "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "rel_threshold_db" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, limit",
+    [([], "17.15 m (c*Tc/2 round trip)"), (["--one-way"], "34.3 m (c*Tc one way)")],
+)
+def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, flags, limit):
+    # p = 3000 is tau = 1.5*Tc at B = 8 kHz, Tc = 0.1 s.
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 3000\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "tap 1 delay 0.1875 s" in err and "maximum unambiguous range is " + limit in err
+    assert not out.exists()
+
+
+def test_triangle_tap_just_inside_tc_still_runs(tmp_path):
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 1599\n")
+    assert run("simulate", str(scn), "--out", str(tmp_path / "out")) == 0
+
+
+def test_waveform_start_frequency_past_the_band_edge_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--f0", "500"]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "band edge" in err and "17000" in err
+    assert not out.exists()
+    assert run(*argv, "--fs", "17000", "--out", str(out)) == 0
+
+
+def test_profile_rejects_a_non_numeric_time_column(tmp_path, capsys):
+    wave = tmp_path / "wave"
+    assert run("waveform", "--bandwidth", "8000", "--chirp", "0.1", "--out", str(wave)) == 0
+    capsys.readouterr()
+    csv = wave / "waveform.csv"
+    csv.write_text(csv.read_text().replace("\n1,6.25e-05,", "\n1,zzz,", 1))
+    assert run("profile", str(csv), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "zzz" in err

@@ -121,6 +121,7 @@ def _reference_read_signal_csv(path):
             raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
             n = int(parts[0])
+            float(parts[1])
             re = float(parts[2])
             im = float(parts[3])
         except ValueError as exc:
@@ -287,7 +288,7 @@ READ_MUTATIONS = {
     "five_fields": _five_fields,
     "balanced_five_and_three": _balanced_pair,
     "non_numeric_n": _set_field(0, "x"),
-    "non_numeric_t": _set_field(1, "zzz"),  # t is never parsed
+    "non_numeric_t": _set_field(1, "zzz"),
     "non_numeric_re": _set_field(2, "1.2.3"),
     "empty_im": _set_field(3, ""),
     "float_n": _set_field(0, "1.0"),

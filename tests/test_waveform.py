@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from trifmcw import ComplexSignal, ConfigError, WaveformKind, WaveformSpec, generate, spectrogram
 
@@ -66,6 +68,21 @@ def test_fs_below_nyquist_bound_rejected():
     # extended sweeps 2B, so it needs 4B
     with pytest.raises(ConfigError, match="below the complex-baseband bound"):
         WaveformSpec(WaveformKind.EXTENDED, B, TC, sample_rate_hz=2 * B)
+
+
+def test_band_edge_bound_counts_the_start_frequency():
+    # f0 + B = 8,500 Hz needs fs >= 17 kHz; the default 2B would wrap it.
+    with pytest.raises(ConfigError, match="band edge"):
+        WaveformSpec(WaveformKind.TRIANGLE, B, TC, start_freq_hz=500.0)
+    assert WaveformSpec(
+        WaveformKind.TRIANGLE, B, TC, start_freq_hz=500.0, sample_rate_hz=17000.0
+    ).samples_per_chirp == 1700
+    # A sweep from -B/2 to B/2 reaches only B/2 Hz, so fs = B suffices.
+    WaveformSpec(WaveformKind.TRIANGLE, B, TC, start_freq_hz=-B / 2, sample_rate_hz=B)
+    with pytest.raises(ConfigError, match="band edge"):
+        WaveformSpec(
+            WaveformKind.EXTENDED, B, TC, start_freq_hz=-B / 2, sample_rate_hz=2 * B
+        )
 
 
 def test_triangle_first_sample_is_one():
@@ -209,3 +226,51 @@ def test_signal_rejects_buffer_off_its_spec_grid():
 def test_signal_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         ComplexSignal(np.array([1.0, np.nan * 1j]), linear_spec(2, 100.0))
+
+
+def _exp_reference_phase(spec):
+    """Phase of every sample as np.where over whole-array formulas gives it.
+
+    The samples of :func:`generate` must equal ``np.exp(1j * phase)`` of this
+    phase bit for bit.
+    """
+    n = np.arange(spec.num_samples)
+    t = n / spec.sample_rate_hz
+    a = spec.effective_slope
+    f0 = spec.start_freq_hz
+    if spec.kind is WaveformKind.TRIANGLE:
+        tc = spec.chirp_duration_s
+        up = np.pi * a * t**2 + 2.0 * np.pi * f0 * t
+        phi_tc = np.pi * a * tc**2 + 2.0 * np.pi * f0 * tc
+        td = t - tc
+        dn = phi_tc + 2.0 * np.pi * (f0 + spec.bandwidth_hz) * td - np.pi * a * td**2
+        return np.where(n >= spec.samples_per_chirp, dn, up)
+    if spec.kind is WaveformKind.SAWTOOTH:
+        t = np.where(n < spec.samples_per_chirp, t, t - spec.chirp_duration_s)
+    return np.pi * a * t**2 + 2.0 * np.pi * f0 * t
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(WaveformKind)),
+    bandwidth=st.sampled_from([500.0, 8000.0, 48000.0]),
+    f0_of=st.sampled_from(["zero", "500 Hz", "-B/2"]),
+    fs_over_b=st.sampled_from([2.0, 3.0, 4.0, 10.72]),
+    nc=st.integers(min_value=1, max_value=50_000),
+)
+@example(WaveformKind.TRIANGLE, 48000.0, "zero", 2.0, 48_000)
+@example(WaveformKind.TRIANGLE, 48000.0, "500 Hz", 10.72, 20_000)
+@example(WaveformKind.SAWTOOTH, 8000.0, "-B/2", 2.0, 20_000)
+@example(WaveformKind.GENTLE, 8000.0, "500 Hz", 3.0, 20_000)
+@example(WaveformKind.EXTENDED, 48000.0, "-B/2", 3.0, 20_000)
+@example(WaveformKind.LINEAR, 500.0, "zero", 10.72, 40_000)
+def test_generate_equals_exp_of_the_phase_bitwise(kind, bandwidth, f0_of, fs_over_b, nc):
+    f0 = {"zero": 0.0, "500 Hz": 500.0, "-B/2": -bandwidth / 2}[f0_of]
+    fs = fs_over_b * bandwidth
+    try:
+        spec = WaveformSpec(kind, bandwidth, nc / fs, f0, fs)
+    except ConfigError:
+        assume(False)  # fs below this sweep's band edge
+    got = generate(spec).samples
+    want = np.exp(1j * _exp_reference_phase(spec))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
