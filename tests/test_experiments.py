@@ -1,16 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
 from trifmcw.experiments import (
     run_four_path,
+    run_named_scenario,
     run_non_integer,
     run_sntr_sweep,
     run_spacing_sweep,
     run_custom,
     write_outputs,
 )
-from trifmcw.scenario import ScenarioConfig, TapConfig
+from trifmcw.scenario import ScenarioConfig, TapConfig, parse_scenario
 
 
 def method(report, name):
@@ -135,3 +137,42 @@ def test_runs_are_deterministic(tmp_path):
     c = tmp_path / "c"
     write_outputs(run_four_path(seed=8), c)
     assert (a / "metrics.json").read_bytes() != (c / "metrics.json").read_bytes()
+
+
+MIXED_SCN = (
+    "name = mixed\nmethods = triangle,sawtooth,extended\nbandwidth = 8000\n"
+    "chirp = 0.1\n\n[tap]\ndelay_p = 48\ngain = rayleigh\n\n"
+    "[tap]\nrange_m = 0.60025\ngain_re = 1\n"
+)
+
+
+# sha256 of report.txt followed by metrics.json. Both files hold bins, counts
+# and six-digit ranges, never raw FFT powers, so the digests do not depend on
+# the platform's floating-point rounding. A refactor of the runners must keep
+# them; a deliberate change of output must update them and say why.
+@pytest.mark.parametrize(
+    "scenario, seed, digest",
+    [
+        ("four_path", 1, "50cc4180f1448a1d211636422ac36e0abefa7bde55f1faf80900e54a9189d064"),
+        ("sntr_sweep", 1, "83e5f042b1f7b3c56f1213a91382a58c6bd9d71a949f9921542a237318df9c7e"),
+        ("non_integer", 1, "510d730b506afe378d67eb88b5ae42abcef1a791e45e1d9b32db251f4d5cc240"),
+        ("spacing_sweep", 1, "3a31fc42d49b60f5112efbaec83ce9e849e68adebfda3c5b2e497b9f041bc11c"),
+        ("four_path", 7, "b205ded74aaf5df954f5361a59ba0a6c7ebd2f54e03f75ed3dc9e48a0a9ccaba"),
+        ("mixed.scn", 3, "d6a9d8a4f423ba70dcb3175d01bfad659d937b8b61909ad0ab0ddbc0889e081d"),
+    ],
+)
+def test_report_and_metrics_bytes_are_pinned(tmp_path, scenario, seed, digest):
+    if scenario.endswith(".scn"):
+        path = tmp_path / scenario
+        path.write_text(MIXED_SCN)
+        cfg = parse_scenario(path)
+        cfg.seed = seed
+        report = run_custom(cfg)
+    else:
+        report = run_named_scenario(scenario, seed=seed)
+    out = tmp_path / "out"
+    write_outputs(report, out)
+    h = hashlib.sha256()
+    for name in ("report.txt", "metrics.json"):
+        h.update((out / name).read_bytes())
+    assert h.hexdigest() == digest
