@@ -128,9 +128,7 @@ def _cmd_waveform(args) -> int:
     return EXIT_OK
 
 
-def _mapping_from(args) -> RangeMapping | None:
-    if args.speed is None and not args.one_way:
-        return None
+def _mapping_from(args) -> RangeMapping:
     speed = args.speed if args.speed is not None else SPEED_OF_SOUND_MPS
     return RangeMapping(speed, not args.one_way)
 
@@ -180,8 +178,7 @@ def _cmd_profile(args) -> int:
     samples, meta = csvio.read_signal_csv(args.beat_csv)
     spec = csvio.spec_from_meta(meta, args.beat_csv)
     beat = ComplexSignal(samples, spec)
-    mapping = _mapping_from(args) or RangeMapping()
-    profile = range_profile(beat, mapping)
+    profile = range_profile(beat, _mapping_from(args))
     peaks = detect_peaks(profile, args.threshold_db)
     out = _out_dir(args)
     csvio.write_profile_csv(out / "profile.csv", profile)

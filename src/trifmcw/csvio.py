@@ -220,7 +220,7 @@ def write_table_csv(path, header: tuple[str, ...], rows) -> None:
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, bool) or isinstance(cell, (str, int)):
+            if isinstance(cell, (str, int)):
                 cells.append(str(cell))
             else:
                 cells.append(fmt(cell))

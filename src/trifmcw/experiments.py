@@ -1,17 +1,22 @@
 """Scripted scenario runners emitting machine-checkable reports.
 
-Each runner rebuilds one simulation scenario at desk scale, runs the
-waveform/channel/beat/profile pipeline for every method under comparison,
-and records assertion outcomes (with measured value and bound) keyed by the
-acceptance-criterion id they implement. Runners are deterministic given a
-seed; the CLI forwards their reports to disk.
+A built-in scenario other than the two sweeps is a set of channel variants
+times a set of waveform specs, plus a table of check rows. One runner sends
+every (channel, spec) pair through the waveform/channel/beat/profile
+pipeline; each row, (description, method, check), maps one method's result
+to (passed, measured, bound) and becomes one assertion keyed by the
+acceptance-criterion id it implements. Adding an assertion means adding one
+row. A custom ``.scn`` run goes through the same runner with no rows. The
+two sweeps, which produce tables, keep their own loops. Runners are
+deterministic given a seed; the CLI forwards their reports to disk.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,6 @@ from .errors import ConfigError
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
     DEFAULT_THRESHOLD_DB,
-    SPEED_OF_SOUND_MPS,
     PeakSet,
     RangeMapping,
     RangeProfile,
@@ -52,7 +56,6 @@ __all__ = [
 # ranging. With fs = 2B the delay quantum 1/(2B) is exactly one sample.
 DESK_BANDWIDTH_HZ = 8_000.0
 DESK_CHIRP_S = 0.1
-DESK_MAPPING = RangeMapping(SPEED_OF_SOUND_MPS, round_trip=True)
 
 FOUR_PATH_BINS = (48, 50, 56, 57)
 
@@ -93,7 +96,6 @@ class MethodResult:
     profile: RangeProfile
     peaks: PeakSet
     metrics: dict
-    dominant: PeakSet | None = None  # peaks at COMPARISON_THRESHOLD_DB
 
 
 @dataclass
@@ -120,26 +122,51 @@ def _pipeline(
     return beat, range_profile(beat, mapping)
 
 
-def _run_method(
-    method: str,
-    tx: ComplexSignal,
-    channel: ChannelModel,
+# A check maps one method's result to (passed, measured, bound).
+Check = Callable[[MethodResult], tuple[bool, str, str]]
+
+
+def _run(
+    report: ExperimentReport,
+    specs: Iterable[WaveformSpec],
+    channels: dict[str, ChannelModel],
     mapping: RangeMapping,
     threshold_db: float,
-) -> MethodResult:
-    """One method through the pipeline; its metrics start with the peaks.
+    ac_id: str = "",
+    rows: Iterable[tuple[str, str, Check]] = (),
+    extra_metrics: Callable[[MethodResult], dict] = lambda result: {},
+) -> ExperimentReport:
+    """Run every channel variant through every spec, then evaluate the rows.
 
-    Callers append their own metric keys after these three, which fixes the
-    key order in metrics.json.
+    Each spec is generated once. A method is named by its waveform kind plus
+    its channel's key; methods are listed channel by channel in spec order,
+    and their metrics start with the peaks, then the keys of `extra_metrics`.
+    Each row (description, method, check) becomes one assertion under `ac_id`.
     """
-    beat, profile = _pipeline(tx, channel, mapping)
-    peaks = detect_peaks(profile, threshold_db)
-    metrics = {
-        "peak_bins": list(peaks.bins),
-        "peak_ranges_m": [pk.range_m for pk in peaks],
-        "peak_count": len(peaks),
-    }
-    return MethodResult(method, beat, profile, peaks, metrics)
+    by_channel: dict[str, list[MethodResult]] = {suffix: [] for suffix in channels}
+    for spec in specs:
+        tx = generate(spec)
+        for suffix, channel in channels.items():
+            beat, profile = _pipeline(tx, channel, mapping)
+            peaks = detect_peaks(profile, threshold_db)
+            metrics = {
+                "peak_bins": list(peaks.bins),
+                "peak_ranges_m": [pk.range_m for pk in peaks],
+                "peak_count": len(peaks),
+            }
+            method = spec.kind.value + suffix
+            result = MethodResult(method, beat, profile, peaks, metrics)
+            metrics.update(extra_metrics(result))
+            by_channel[suffix].append(result)
+        del tx  # freed before the next spec is generated
+    for results in by_channel.values():
+        report.methods.extend(results)
+    by_method = {m.method: m for m in report.methods}
+    for description, method, check in rows:
+        report.assertions.append(
+            AssertionResult(ac_id, description, *check(by_method[method]))
+        )
+    return report
 
 
 def _unit_channel(delays) -> ChannelModel:
@@ -159,15 +186,9 @@ def _real_clamped_gain(gain: complex, lo: float, hi: float) -> complex:
     return complex(min(max(abs(gain), lo), hi), 0.0)
 
 
-def _spec_trio():
-    kinds = (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH, WaveformKind.GENTLE)
-    return {
-        kind.value: WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S)
-        for kind in kinds
-    }
-
-
-def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> ExperimentReport:
+def run_four_path(
+    seed: int = 1, mapping: RangeMapping = RangeMapping()
+) -> ExperimentReport:
     """Four close reflections; only the triangle pipeline resolves them all.
 
     Taps sit on the delay grid at p = 48, 50, 56, 57 (the last two only one
@@ -176,27 +197,27 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
     vanishes) are both run through the triangle, sawtooth and gentle
     pipelines.
     """
-    mapping = mapping or DESK_MAPPING
     B = DESK_BANDWIDTH_HZ
     delays = [p / (2.0 * B) for p in FOUR_PATH_BINS]
-    specs = _spec_trio()
+    kinds = (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH, WaveformKind.GENTLE)
+    specs = [WaveformSpec(kind, B, DESK_CHIRP_S) for kind in kinds]
     truth = tuple(mapping.delay_to_range(d) for d in delays)
-
-    det_channel = _unit_channel(delays)
-    ray_raw = rayleigh_taps(delays, seed)
-    ray_channel = ChannelModel(
-        tuple(
-            ChannelTap(t.delay_s, _real_clamped_gain(t.gain, 0.5, 1.5))
-            for t in ray_raw.taps
-        )
-    )
+    channels = {
+        "_det": _unit_channel(delays),
+        "_rayleigh": ChannelModel(
+            tuple(
+                ChannelTap(t.delay_s, _real_clamped_gain(t.gain, 0.5, 1.5))
+                for t in rayleigh_taps(delays, seed).taps
+            )
+        ),
+    }
 
     report = ExperimentReport(
         scenario="four_path",
         constants={
             "bandwidth_hz": B,
             "chirp_s": DESK_CHIRP_S,
-            "sample_rate_hz": specs["triangle"].sample_rate_hz,
+            "sample_rate_hz": specs[0].sample_rate_hz,
             "speed_mps": mapping.propagation_speed_mps,
             "round_trip": mapping.round_trip,
             "seed": seed,
@@ -206,72 +227,46 @@ def run_four_path(seed: int = 1, mapping: RangeMapping | None = None) -> Experim
         notes={"alt_triangle_processing": ALT_PROCESSING_PLACEHOLDER},
     )
 
-    txs = {name: generate(spec) for name, spec in specs.items()}
-    results: dict[tuple[str, str], MethodResult] = {}
-    for variant, channel in (("det", det_channel), ("rayleigh", ray_channel)):
-        for name, tx in txs.items():
-            result = _run_method(
-                f"{name}_{variant}", tx, channel, mapping, DEFAULT_THRESHOLD_DB
-            )
-            result.dominant = detect_peaks(result.profile, COMPARISON_THRESHOLD_DB)
-            result.metrics["dominant_bins"] = list(result.dominant.bins)
-            result.metrics["dominant_count"] = len(result.dominant)
-            results[(variant, name)] = result
-            report.methods.append(result)
+    def dominant(result: MethodResult) -> dict:
+        peaks = detect_peaks(result.profile, COMPARISON_THRESHOLD_DB)
+        return {"dominant_bins": list(peaks.bins), "dominant_count": len(peaks)}
 
-    def merged_pair(result: MethodResult) -> int:
-        """Dominant peaks falling inside the window around the close pair."""
-        lo = truth[2] - 0.5 * result.profile.bin_spacing_m
-        hi = truth[3] + 0.5 * result.profile.bin_spacing_m
-        return sum(1 for pk in result.dominant if lo <= pk.range_m <= hi)
+    def at_true_bins(result: MethodResult):
+        bins = result.peaks.bins
+        return bins == FOUR_PATH_BINS, str(list(bins)), str(list(FOUR_PATH_BINS))
 
-    tri_det = results[("det", "triangle")]
-    report.assertions.append(
-        AssertionResult(
-            "AC-1",
-            "deterministic triangle resolves all four paths at their bins",
-            tri_det.peaks.bins == FOUR_PATH_BINS,
-            str(list(tri_det.peaks.bins)),
-            str(list(FOUR_PATH_BINS)),
-        )
-    )
-    tri_ray = results[("rayleigh", "triangle")]
-    report.assertions.append(
-        AssertionResult(
-            "AC-1",
-            "random-gain triangle resolves all four paths at their bins",
-            tri_ray.peaks.bins == FOUR_PATH_BINS,
-            str(list(tri_ray.peaks.bins)),
-            str(list(FOUR_PATH_BINS)),
-        )
-    )
-    for name in ("sawtooth", "gentle"):
-        result = results[("det", name)]
+    def at_most_three(result: MethodResult):
         count = result.metrics["dominant_count"]
-        report.assertions.append(
-            AssertionResult(
-                "AC-1",
-                f"deterministic {name} detects at most 3 dominant structures",
-                count <= 3,
-                str(count),
-                "<= 3",
-            )
-        )
-        pair = merged_pair(result)
-        report.assertions.append(
-            AssertionResult(
-                "AC-1",
-                f"deterministic {name} merges the two closest paths",
-                pair <= 1,
-                f"{pair} peak(s) within the close-pair window",
-                "<= 1",
-            )
-        )
-    return report
+        return count <= 3, str(count), "<= 3"
+
+    def merges_close_pair(result: MethodResult):
+        """Dominant peaks falling inside the window around the close pair."""
+        spacing = result.profile.bin_spacing_m
+        lo = truth[2] - 0.5 * spacing
+        hi = truth[3] + 0.5 * spacing
+        pair = sum(1 for b in result.metrics["dominant_bins"] if lo <= b * spacing <= hi)
+        return pair <= 1, f"{pair} peak(s) within the close-pair window", "<= 1"
+
+    rows = [
+        ("deterministic triangle resolves all four paths at their bins",
+         "triangle_det", at_true_bins),
+        ("random-gain triangle resolves all four paths at their bins",
+         "triangle_rayleigh", at_true_bins),
+    ]
+    for name in ("sawtooth", "gentle"):
+        rows += [
+            (f"deterministic {name} detects at most 3 dominant structures",
+             f"{name}_det", at_most_three),
+            (f"deterministic {name} merges the two closest paths",
+             f"{name}_det", merges_close_pair),
+        ]
+    return _run(
+        report, specs, channels, mapping, DEFAULT_THRESHOLD_DB, "AC-1", rows, dominant
+    )
 
 
 def run_sntr_sweep(
-    points: int = 40, mapping: RangeMapping | None = None
+    points: int = 40, mapping: RangeMapping = RangeMapping()
 ) -> ExperimentReport:
     """Single-path delay sweep recording the transition-noise ratio.
 
@@ -281,7 +276,6 @@ def run_sntr_sweep(
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    mapping = mapping or DESK_MAPPING
     spec = WaveformSpec(WaveformKind.TRIANGLE, DESK_BANDWIDTH_HZ, DESK_CHIRP_S)
     n_c = spec.samples_per_chirp
     p_values = sorted(set(int(round(p)) for p in np.linspace(1, 0.45 * n_c, points)))
@@ -335,7 +329,9 @@ NON_INTEGER_RANGES_M = (0.059, 0.082)
 NON_INTEGER_FS = 171_500.0  # smallest rate putting both echo delays on the grid
 
 
-def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> ExperimentReport:
+def run_non_integer(
+    seed: int = 1, mapping: RangeMapping = RangeMapping()
+) -> ExperimentReport:
     """Two reflections between delay-grid points; off-grid in p, on-grid in fs.
 
     Ranges of 5.9 cm and 8.2 cm correspond to p = 5.50 and p = 7.65: the
@@ -343,10 +339,7 @@ def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> Exper
     degrade, but the triangle and extended pipelines must still separate
     the two paths. The conventional single-chirp pipeline must not.
     """
-    mapping = mapping or DESK_MAPPING
     delays = [mapping.range_to_delay(r) for r in NON_INTEGER_RANGES_M]
-    channel = _unit_channel(delays)
-    kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
 
     report = ExperimentReport(
         scenario="non_integer",
@@ -362,60 +355,64 @@ def run_non_integer(seed: int = 1, mapping: RangeMapping | None = None) -> Exper
         ground_truth_ranges_m=tuple(NON_INTEGER_RANGES_M),
     )
 
-    counts: dict[str, int] = {}
-    errors: dict[str, float] = {}
-    for kind in kinds:
-        spec = WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, NON_INTEGER_FS)
-        result = _run_method(
-            kind.value, generate(spec), channel, mapping, COMPARISON_THRESHOLD_DB
-        )
-        per_peak_error = [
-            min(abs(pk.range_m - r) for r in NON_INTEGER_RANGES_M)
-            for pk in result.peaks
-        ]
-        counts[kind.value] = len(result.peaks)
-        errors[kind.value] = max(per_peak_error, default=math.inf)
-        result.metrics["per_peak_range_error_m"] = per_peak_error
-        result.metrics["bin_spacing_m"] = result.profile.bin_spacing_m
-        report.methods.append(result)
+    def range_errors(result: MethodResult) -> dict:
+        return {
+            "per_peak_range_error_m": [
+                min(abs(pk.range_m - r) for r in NON_INTEGER_RANGES_M)
+                for pk in result.peaks
+            ],
+            "bin_spacing_m": result.profile.bin_spacing_m,
+        }
 
-    spacing = {m.method: m.profile.bin_spacing_m for m in report.methods}
+    def max_error(result: MethodResult) -> float:
+        return max(result.metrics["per_peak_range_error_m"], default=math.inf)
+
+    def separates(result: MethodResult):
+        count = len(result.peaks)
+        return count == 2, f"{count} peaks", "exactly 2"
+
+    def within_one_bin(result: MethodResult):
+        error, spacing = max_error(result), result.profile.bin_spacing_m
+        return (
+            error <= spacing,
+            f"max error {error * 100:.3f} cm",
+            f"<= {spacing * 100:.3f} cm",
+        )
+
+    def fewer_or_displaced(result: MethodResult):
+        error, spacing = max_error(result), result.profile.bin_spacing_m
+        count = len(result.peaks)
+        return (
+            count < 2 or error > spacing,
+            f"{count} peaks, max error {error * 100:.3f} cm",
+            f"< 2 peaks or error > {spacing * 100:.3f} cm",
+        )
+
+    rows = []
     for name in ("triangle", "extended"):
-        report.assertions.append(
-            AssertionResult(
-                "AC-7",
-                f"{name} separates the two off-grid paths",
-                counts[name] == 2,
-                f"{counts[name]} peaks",
-                "exactly 2",
-            )
-        )
-        report.assertions.append(
-            AssertionResult(
-                "AC-7",
-                f"{name} peak ranges err by at most one bin",
-                errors[name] <= spacing[name],
-                f"max error {errors[name] * 100:.3f} cm",
-                f"<= {spacing[name] * 100:.3f} cm",
-            )
-        )
-    linear_fails = counts["linear"] < 2 or errors["linear"] > spacing["linear"]
-    report.assertions.append(
-        AssertionResult(
-            "AC-7",
-            "single-chirp baseline reports fewer or displaced peaks",
-            linear_fails,
-            f"{counts['linear']} peaks, max error {errors['linear'] * 100:.3f} cm",
-            f"< 2 peaks or error > {spacing['linear'] * 100:.3f} cm",
-        )
+        rows += [
+            (f"{name} separates the two off-grid paths", name, separates),
+            (f"{name} peak ranges err by at most one bin", name, within_one_bin),
+        ]
+    rows.append(
+        ("single-chirp baseline reports fewer or displaced peaks", "linear",
+         fewer_or_displaced)
     )
-    return report
+    kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
+    specs = [
+        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, NON_INTEGER_FS)
+        for kind in kinds
+    ]
+    return _run(
+        report, specs, {"": _unit_channel(delays)}, mapping, COMPARISON_THRESHOLD_DB,
+        "AC-7", rows, range_errors,
+    )
 
 
 SPACING_FS = 34_300.0  # puts every whole-centimeter round-trip delay on the grid
 
 
-def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
+def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentReport:
     """Two reflectors closing from 10 cm apart to co-located, 1 cm steps.
 
     One reflector is fixed at 40 cm; the other walks in from 50 cm. Each
@@ -431,7 +428,6 @@ def run_spacing_sweep(mapping: RangeMapping | None = None) -> ExperimentReport:
     oracle and is reported, not ranked. The co-located position stays in
     the table with its degeneracy flags but outside the error statistic.
     """
-    mapping = mapping or DESK_MAPPING
     kinds = (
         WaveformKind.TRIANGLE,
         WaveformKind.SAWTOOTH,
@@ -570,14 +566,13 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
         return report
     if WaveformKind.TRIANGLE in cfg.methods:
         _check_triangle_delays(channel, cfg.chirp_duration_s, mapping)
-    for kind in cfg.methods:
-        spec = WaveformSpec(
-            kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz
-        )
-        report.methods.append(
-            _run_method(kind.value, generate(spec), channel, mapping, cfg.threshold_db)
-        )
-    return report
+    # A generator: each spec is validated just before its method runs, so the
+    # first error reported is the first in method order.
+    specs = (
+        WaveformSpec(kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz)
+        for kind in cfg.methods
+    )
+    return _run(report, specs, {"": channel}, mapping, cfg.threshold_db)
 
 
 BUILTIN_SCENARIOS = {
@@ -588,7 +583,9 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def run_named_scenario(name: str, seed: int = 1, mapping: RangeMapping | None = None):
+def run_named_scenario(
+    name: str, seed: int = 1, mapping: RangeMapping = RangeMapping()
+):
     """Dispatch a built-in scenario by name."""
     runner = BUILTIN_SCENARIOS[name]
     if name in ("four_path", "non_integer"):
@@ -617,16 +614,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
         "ground_truth_ranges_m": list(report.ground_truth_ranges_m),
         "degenerate": report.degenerate,
         "methods": {m.method: m.metrics for m in report.methods},
-        "assertions": [
-            {
-                "ac_id": a.ac_id,
-                "description": a.description,
-                "passed": a.passed,
-                "measured": a.measured,
-                "bound": a.bound,
-            }
-            for a in report.assertions
-        ],
+        "assertions": [asdict(a) for a in report.assertions],
         "notes": report.notes,
         "result": "PASS" if report.passed else "FAIL",
     }

@@ -133,14 +133,14 @@ def real_part_spectrum(beat: ComplexSignal) -> np.ndarray:
     return np.fft.fft(_real_part(beat))
 
 
-def range_profile(beat: ComplexSignal, mapping: RangeMapping | None = None) -> RangeProfile:
+def range_profile(
+    beat: ComplexSignal, mapping: RangeMapping = RangeMapping()
+) -> RangeProfile:
     """Power-vs-range profile over the non-negative-frequency bins.
 
     The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; it
     matches the first half of ``real_part_spectrum`` to within rounding.
     """
-    if mapping is None:
-        mapping = RangeMapping()
     power = np.abs(np.fft.rfft(_real_part(beat))) ** 2
     duration = len(beat) / beat.sample_rate_hz
     spacing = mapping.propagation_speed_mps / (beat.spec.effective_slope * duration)
