@@ -309,3 +309,54 @@ def test_profile_rejects_a_non_numeric_time_column(tmp_path, capsys):
     assert run("profile", str(csv), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "zzz" in err
+
+
+# Round trip at 340 or 343 m/s and one way at 343 m/s put 3.644375 m on the
+# 16-kHz grid; one way at 340 m/s needs the 32-kHz grid, given with it below.
+_OVERRIDE_TAPS = (
+    "\n[tap]\ndelay_p = 48\ngain = rayleigh\n"
+    "\n[tap]\nrange_m = 3.644375\ngain_re = 0.7\ngain_im = 0.2\n"
+)
+_FLAG_KEYS = {
+    "seed": (["--seed", "11"], "seed = 11"),
+    "threshold": (["--threshold-db", "-20"], "threshold_db = -20"),
+    "fs": (["--fs", "32000"], "fs = 32000"),
+    "speed": (["--speed", "340"], "speed = 340"),
+    "one_way": (["--one-way"], "one_way = true"),
+}
+
+
+def _run_scn(tmp_path, subdir, keys, *flags):
+    scn = tmp_path / subdir / "x.scn"
+    scn.parent.mkdir()
+    scn.write_text("bandwidth = 8000\nchirp = 0.1\nmethods = triangle,sawtooth\n"
+                   + "".join(line + "\n" for line in keys) + _OVERRIDE_TAPS)
+    out = tmp_path / subdir / "out"
+    assert run("simulate", str(scn), *flags, "--out", str(out)) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("names", [[name] for name in _FLAG_KEYS] + [list(_FLAG_KEYS)])
+def test_simulate_flag_gives_the_bytes_of_its_scn_key(tmp_path, names):
+    flags = [flag for name in names for flag in _FLAG_KEYS[name][0]]
+    keys = [_FLAG_KEYS[name][1] for name in names]
+    assert _run_scn(tmp_path, "flag", [], *flags) == _run_scn(tmp_path, "key", keys)
+
+
+@pytest.mark.parametrize(
+    "line, flags",
+    [
+        ("seed = x", ["--seed", "3"]),
+        ("threshold_db = 3", ["--threshold-db", "-20"]),
+        ("fs = nan", ["--fs", "32000"]),
+        ("speed = inf", ["--speed", "340"]),
+        ("one_way = maybe", ["--one-way"]),
+    ],
+)
+def test_bad_scn_value_replaced_by_a_flag_still_exits_two(tmp_path, capsys, line, flags):
+    scn = _scn(tmp_path, line + "\n" + _OVERRIDE_TAPS)
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{scn}:3:" in err
+    assert not out.exists()
