@@ -15,7 +15,6 @@ invariant violated or an input/output file could not be read or written
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -146,25 +145,12 @@ def _cmd_simulate(args) -> int:
             mapping=_mapping_from(args),
         )
     else:
-        cfg = parse_scenario(args.scenario)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threshold_db is not None:
-            # Written this way round so that nan fails the test too.
-            if not -math.inf < args.threshold_db <= 0:
-                raise ConfigError(
-                    f"threshold_db must be finite and <= 0 dB relative to the "
-                    f"profile maximum, got {args.threshold_db}"
-                )
-            cfg.threshold_db = args.threshold_db
-        if args.fs is not None:
-            cfg.sample_rate_hz = args.fs
-        # Each flag overrides only its own field of the file.
-        if args.speed is not None:
-            cfg.speed_mps = args.speed
+        flags = {"seed": args.seed, "threshold_db": args.threshold_db,
+                 "fs": args.fs, "speed": args.speed}
+        overrides = {key: str(value) for key, value in flags.items() if value is not None}
         if args.one_way:
-            cfg.round_trip = False
-        report = experiments.run_custom(cfg)
+            overrides["one_way"] = "true"
+        report = experiments.run_custom(parse_scenario(args.scenario, overrides))
 
     out = _out_dir(args)
     experiments.write_outputs(report, out)

@@ -93,14 +93,22 @@ def _parse_float(value: str, where: str) -> float:
     return number
 
 
-def parse_scenario(path) -> ScenarioConfig:
-    """Parse a scenario file; errors carry file and line context."""
+def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
+    """Parse a scenario file; errors carry file and line context.
+
+    ``overrides`` maps global keys to raw values that replace the file's
+    values. Each goes through its key's check, and its errors name the key.
+    The file must be valid without them too.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    globals_: dict[str, tuple[str, int]] = {}
+    if overrides:
+        parse_scenario(path)
+    # key -> (raw value, "file:line" or "key override" for error messages)
+    globals_: dict[str, tuple[str, str]] = {}
     taps: list[TapConfig] = []
-    current_tap: dict[str, tuple[str, int]] | None = None
+    current_tap: dict[str, tuple[str, str]] | None = None
     tap_lines: list[int] = []
 
     def finish_tap():
@@ -129,25 +137,25 @@ def parse_scenario(path) -> ScenarioConfig:
         target = current_tap if current_tap is not None else globals_
         if key in target:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        target[key] = (value, lineno)
+        target[key] = (value, f"{path}:{lineno}")
     finish_tap()
+    for key, value in (overrides or {}).items():
+        globals_[key] = (value, f"{key} override")
 
     def take(key, default=None):
-        if key in globals_:
-            return globals_.pop(key)
-        return (default, 0)
+        return globals_.pop(key, (default, str(path)))
 
     name, _ = take("name", path.stem)
-    bandwidth_raw, bw_line = take("bandwidth")
-    chirp_raw, chirp_line = take("chirp")
+    bandwidth_raw, bw_where = take("bandwidth")
+    chirp_raw, chirp_where = take("chirp")
     if bandwidth_raw is None:
         raise ConfigError(f"{path}: missing required key 'bandwidth'")
     if chirp_raw is None:
         raise ConfigError(f"{path}: missing required key 'chirp'")
-    bandwidth = _parse_float(bandwidth_raw, f"{path}:{bw_line}")
-    chirp = _parse_float(chirp_raw, f"{path}:{chirp_line}")
+    bandwidth = _parse_float(bandwidth_raw, bw_where)
+    chirp = _parse_float(chirp_raw, chirp_where)
 
-    methods_raw, methods_line = take("methods", "triangle")
+    methods_raw, methods_where = take("methods", "triangle")
     methods = []
     for token in methods_raw.split(","):
         token = token.strip().lower()
@@ -156,30 +164,30 @@ def parse_scenario(path) -> ScenarioConfig:
         except ValueError:
             known = ", ".join(k.value for k in WaveformKind)
             raise ConfigError(
-                f"{path}:{methods_line}: unknown method {token!r} (known: {known})"
+                f"{methods_where}: unknown method {token!r} (known: {known})"
             ) from None
 
-    fs_raw, fs_line = take("fs")
-    fs = _parse_float(fs_raw, f"{path}:{fs_line}") if fs_raw is not None else None
-    speed_raw, speed_line = take("speed", str(SPEED_OF_SOUND_MPS))
-    speed = _parse_float(speed_raw, f"{path}:{speed_line}")
-    one_way_raw, one_way_line = take("one_way", "false")
-    one_way = _parse_bool(one_way_raw, f"{path}:{one_way_line}")
-    thr_raw, thr_line = take("threshold_db", str(DEFAULT_THRESHOLD_DB))
-    threshold = _parse_float(thr_raw, f"{path}:{thr_line}")
+    fs_raw, fs_where = take("fs")
+    fs = _parse_float(fs_raw, fs_where) if fs_raw is not None else None
+    speed_raw, speed_where = take("speed", str(SPEED_OF_SOUND_MPS))
+    speed = _parse_float(speed_raw, speed_where)
+    one_way_raw, one_way_where = take("one_way", "false")
+    one_way = _parse_bool(one_way_raw, one_way_where)
+    thr_raw, thr_where = take("threshold_db", str(DEFAULT_THRESHOLD_DB))
+    threshold = _parse_float(thr_raw, thr_where)
     if threshold > 0:
-        raise ConfigError(f"{path}:{thr_line}: threshold_db must be <= 0")
-    seed_raw, seed_line = take("seed", "1")
+        raise ConfigError(f"{thr_where}: threshold_db must be <= 0")
+    seed_raw, seed_where = take("seed", "1")
     try:
         seed = int(seed_raw)
     except ValueError:
-        raise ConfigError(f"{path}:{seed_line}: seed must be an integer") from None
+        raise ConfigError(f"{seed_where}: seed must be an integer") from None
     if seed < 0:
-        raise ConfigError(f"{path}:{seed_line}: seed must be non-negative")
+        raise ConfigError(f"{seed_where}: seed must be non-negative")
 
     if globals_:
-        key, (_, lineno) = next(iter(globals_.items()))
-        raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        key, (_, where) = next(iter(globals_.items()))
+        raise ConfigError(f"{where}: unknown key {key!r}")
 
     return ScenarioConfig(
         name=name,
@@ -204,17 +212,17 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
             f"got {position or 'none'}"
         )
     key = position[0]
-    value_raw, value_line = fields.pop(key)
-    value = _parse_float(value_raw, f"{path}:{value_line}")
+    value_raw, value_where = fields.pop(key)
+    value = _parse_float(value_raw, value_where)
     if value < 0:
-        raise ConfigError(f"{path}:{value_line}: {key} must be non-negative")
+        raise ConfigError(f"{value_where}: {key} must be non-negative")
 
     gain: complex | str
     if "gain" in fields:
-        gain_raw, gain_line = fields.pop("gain")
+        gain_raw, gain_where = fields.pop("gain")
         if gain_raw.lower() != "rayleigh":
             raise ConfigError(
-                f"{path}:{gain_line}: gain must be 'rayleigh' "
+                f"{gain_where}: gain must be 'rayleigh' "
                 f"(use gain_re/gain_im for fixed gains)"
             )
         if "gain_re" in fields or "gain_im" in fields:
@@ -227,8 +235,8 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
         if gain == 0:
             raise ConfigError(f"{where}: tap gain must be nonzero")
     if fields:
-        bad, (_, lineno) = next(iter(fields.items()))
-        raise ConfigError(f"{path}:{lineno}: unknown tap key {bad!r}")
+        bad, (_, bad_where) = next(iter(fields.items()))
+        raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
 
     tap = TapConfig(gain=gain)
     setattr(tap, key, value)

@@ -167,8 +167,8 @@ def detect_peaks(
     single target straddling a bin boundary only drops about 9 dB at the
     flanks. Twins are not themselves visited, so a twin never seeds another.
     """
-    if not rel_threshold_db <= 0:  # nan fails this test too
-        raise ValueError(f"rel_threshold_db must be <= 0, got {rel_threshold_db}")
+    if not -math.inf < rel_threshold_db <= 0:  # nan fails this test too
+        raise ValueError(f"rel_threshold_db must be finite and <= 0, got {rel_threshold_db}")
     power = profile.bin_power
     n = power.size
     peak_max = float(power.max())

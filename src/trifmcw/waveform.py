@@ -49,18 +49,6 @@ class WaveformKind(str, Enum):
     LINEAR = "linear"
 
 
-def default_sample_rate(kind: WaveformKind, bandwidth_hz: float) -> float:
-    """Default fs: 2B, or 4B for the extended sweep (it reaches 2B).
-
-    These defaults make the delay quantum ``1/(2B)`` an exact number of
-    samples (one at fs=2B, two at fs=4B), so delay grids expressed as
-    ``p/(2B)`` are representable without interpolation.
-    """
-    if kind is WaveformKind.EXTENDED:
-        return 4.0 * bandwidth_hz
-    return 2.0 * bandwidth_hz
-
-
 @dataclass(frozen=True)
 class WaveformSpec:
     """Parameters of one FMCW waveform.
@@ -70,7 +58,9 @@ class WaveformSpec:
         bandwidth_hz: swept bandwidth B of a single chirp, Hz
         chirp_duration_s: single-chirp duration Tc, seconds
         start_freq_hz: baseband start frequency f0, Hz
-        sample_rate_hz: fs; defaults to 2B (4B for EXTENDED)
+        sample_rate_hz: fs; defaults to twice the swept bandwidth, 2B (4B for
+            EXTENDED), which makes the delay quantum ``1/(2B)`` a whole number
+            of samples, so delay grids ``p/(2B)`` need no interpolation
     """
 
     kind: WaveformKind
@@ -93,9 +83,7 @@ class WaveformSpec:
         if self.chirp_duration_s <= 0:
             raise ConfigError(f"chirp duration must be > 0, got {self.chirp_duration_s}")
         if self.sample_rate_hz is None:
-            object.__setattr__(
-                self, "sample_rate_hz", default_sample_rate(kind, self.bandwidth_hz)
-            )
+            object.__setattr__(self, "sample_rate_hz", 2.0 * self.swept_bandwidth_hz)
         fs = self.sample_rate_hz
         f0 = self.start_freq_hz
         edge = max(abs(f0), abs(f0 + self.swept_bandwidth_hz))

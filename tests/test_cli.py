@@ -257,12 +257,13 @@ def test_simulate_threshold_must_be_finite_and_not_positive(tmp_path, capsys, va
     assert not out.exists()
 
 
-def test_profile_nan_threshold_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_profile_nan_threshold_exits_two(tmp_path, capsys, value):
     wave = tmp_path / "wave"
     assert run("waveform", "--bandwidth", "8000", "--chirp", "0.1", "--out", str(wave)) == 0
     capsys.readouterr()
     out = tmp_path / "out"
-    code = run("profile", str(wave / "waveform.csv"), "--threshold-db", "nan",
+    code = run("profile", str(wave / "waveform.csv"), f"--threshold-db={value}",
                "--out", str(out))
     assert code == 2
     err = capsys.readouterr().err
@@ -359,4 +360,13 @@ def test_bad_scn_value_replaced_by_a_flag_still_exits_two(tmp_path, capsys, line
     assert run("simulate", str(scn), *flags, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and f"{scn}:3:" in err
+    assert not out.exists()
+
+
+def test_simulate_negative_seed_on_a_scn_exits_two(tmp_path, capsys):
+    scn = _scn(tmp_path, _OVERRIDE_TAPS)
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--seed", "-1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "seed must be non-negative" in err
     assert not out.exists()
