@@ -24,6 +24,10 @@ Example::
 Each tap names its position exactly one way (``delay_s`` seconds,
 ``delay_p`` delay-grid index p = 2*B*delay, or ``range_m`` meters) and its
 gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
+
+Overrides (the ``trifmcw simulate`` flags) are raw ``key -> value`` strings
+for global keys. Each replaces only its key's file value and passes that
+key's check; its errors name the key (``seed override: ...``), not a line.
 """
 
 from __future__ import annotations
@@ -96,9 +100,8 @@ def _parse_float(value: str, where: str) -> float:
 def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
     """Parse a scenario file; errors carry file and line context.
 
-    ``overrides`` maps global keys to raw values that replace the file's
-    values. Each goes through its key's check, and its errors name the key.
-    The file must be valid without them too.
+    ``overrides`` replace file values as described above; the file must be
+    valid without them too.
     """
     path = Path(path)
     if not path.exists():

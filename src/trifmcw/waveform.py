@@ -59,8 +59,7 @@ class WaveformSpec:
         chirp_duration_s: single-chirp duration Tc, seconds
         start_freq_hz: baseband start frequency f0, Hz
         sample_rate_hz: fs; defaults to twice the swept bandwidth, 2B (4B for
-            EXTENDED), which makes the delay quantum ``1/(2B)`` a whole number
-            of samples, so delay grids ``p/(2B)`` need no interpolation
+            EXTENDED), so delay grids ``p/(2B)`` fall on whole samples
     """
 
     kind: WaveformKind
