@@ -106,7 +106,10 @@ def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
         raise ValueError(f"length mismatch: tx has {len(tx)}, rx has {len(rx)}")
     if tx.spec != rx.spec:
         raise ValueError(f"spec mismatch: tx {tx.spec}, rx {rx.spec}")
-    return ComplexSignal(np.conj(tx.samples) * rx.samples, tx.spec)
+    # In place: one N-sized array instead of conj(tx) plus the product.
+    beat = np.conj(tx.samples)
+    beat *= rx.samples
+    return ComplexSignal(beat, tx.spec)
 
 
 def _check_triangle_oracle_args(spec, tau, require_f0_zero=True):

@@ -158,7 +158,6 @@ def _run(
             result = MethodResult(method, beat, profile, peaks, metrics)
             metrics.update(extra_metrics(result))
             by_channel[suffix].append(result)
-        del tx  # freed before the next spec is generated
     for results in by_channel.values():
         report.methods.extend(results)
     by_method = {m.method: m for m in report.methods}
@@ -552,6 +551,11 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
             mapping.delay_to_range(tap.delay_s) for tap in channel.taps
         ),
     )
+    # Built before the tapless return, so a run without taps checks its grid too.
+    specs = [
+        WaveformSpec(kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz)
+        for kind in cfg.methods
+    ]
     if len(channel) == 0:
         report.degenerate = True
         report.assertions.append(
@@ -566,12 +570,6 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
         return report
     if WaveformKind.TRIANGLE in cfg.methods:
         _check_triangle_delays(channel, cfg.chirp_duration_s, mapping)
-    # A generator: each spec is validated just before its method runs, so the
-    # first error reported is the first in method order.
-    specs = (
-        WaveformSpec(kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz)
-        for kind in cfg.methods
-    )
     return _run(report, specs, {"": channel}, mapping, cfg.threshold_db)
 
 

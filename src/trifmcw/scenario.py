@@ -174,6 +174,8 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     fs = _parse_float(fs_raw, fs_where) if fs_raw is not None else None
     speed_raw, speed_where = take("speed", str(SPEED_OF_SOUND_MPS))
     speed = _parse_float(speed_raw, speed_where)
+    if speed <= 0:
+        raise ConfigError(f"{speed_where}: speed must be > 0")
     one_way_raw, one_way_where = take("one_way", "false")
     one_way = _parse_bool(one_way_raw, one_way_where)
     thr_raw, thr_where = take("threshold_db", str(DEFAULT_THRESHOLD_DB))

@@ -4,6 +4,7 @@ import pytest
 from trifmcw import (
     ChannelModel,
     ChannelTap,
+    ComplexSignal,
     WaveformKind,
     WaveformSpec,
     analytic_beat,
@@ -42,6 +43,26 @@ def test_mix_zero_prefix_from_delay():
     beat = mixed_beat(SPEC, d / SPEC.sample_rate_hz)
     assert np.all(beat.samples[:d] == 0)
     assert np.all(np.abs(beat.samples[d:]) > 0.99)
+
+
+def _complex_column(rng, n):
+    """n finite complex values over a wide range, with signed zeros and subnormals."""
+    parts = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-150, 150, size=(2, n))
+    parts[:, ::7] = -0.0
+    parts[:, 3::11] = 0.0
+    parts[:, 5::13] = -5e-324
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = parts
+    return out
+
+
+def test_mix_equals_conj_tx_times_rx_bitwise():
+    rng = np.random.default_rng(11)
+    tx_samples = _complex_column(rng, SPEC.num_samples)
+    rx_samples = _complex_column(rng, SPEC.num_samples)
+    beat = mix(ComplexSignal(tx_samples, SPEC), ComplexSignal(rx_samples, SPEC))
+    want = np.conj(tx_samples) * rx_samples
+    assert np.array_equal(beat.samples.view(np.uint64), want.view(np.uint64))
 
 
 def test_mix_rejects_mismatched_inputs():

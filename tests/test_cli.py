@@ -352,6 +352,7 @@ def test_simulate_flag_gives_the_bytes_of_its_scn_key(tmp_path, names):
         ("fs = nan", ["--fs", "32000"]),
         ("speed = inf", ["--speed", "340"]),
         ("one_way = maybe", ["--one-way"]),
+        ("speed = -1", ["--speed", "340"]),
     ],
 )
 def test_bad_scn_value_replaced_by_a_flag_still_exits_two(tmp_path, capsys, line, flags):
@@ -369,4 +370,14 @@ def test_simulate_negative_seed_on_a_scn_exits_two(tmp_path, capsys):
     assert run("simulate", str(scn), "--seed", "-1", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "seed must be non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fs", ["5", "-5"])
+def test_fs_flag_off_the_grid_exits_two_on_a_scn_without_taps(tmp_path, capsys, fs):
+    scn = _scn(tmp_path, "methods = triangle,extended\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--fs", fs, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "complex-baseband bound" in err
     assert not out.exists()

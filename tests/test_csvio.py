@@ -6,6 +6,7 @@ import pytest
 from trifmcw import ConfigError, Peak, PeakSet, RangeProfile
 from trifmcw.csvio import (
     _BLOCK_ROWS,
+    _CHUNK_CHARS,
     fmt,
     read_signal_csv,
     write_peaks_csv,
@@ -358,3 +359,32 @@ def test_read_signal_csv_header_only_and_trailing_comments(tmp_path):
         path.write_text(text)
         want = _read_outcome(_reference_read_signal_csv, path)
         assert _read_outcome(read_signal_csv, path) == want
+
+
+def _outcome_without_path(read, path):
+    outcome = _read_outcome(read, path)
+    if outcome[0] == "error":
+        return "error", outcome[1].replace(str(path), "<file>")
+    return outcome
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_read_signal_csv_same_outcome_for_other_line_breaks(tmp_path, newline):
+    rng = np.random.default_rng(len(newline))
+    rows = 3 * _BLOCK_ROWS
+    samples = _edge_column(rng, rows) + 1j * _edge_column(rng, rows)
+    clean = tmp_path / "clean.csv"
+    write_signal_csv(clean, samples, 16000.0, {"kind": "triangle", "fs": 16000.0})
+    head, body = clean.read_text().split("n,t,re,im\n")
+    assert len(head) + len(body) > 2 * _CHUNK_CHARS  # the reader splits several chunks
+    for mutation in ("none", "blank_line", "comment", "non_numeric_t", "dropped_row"):
+        lines = body.splitlines()
+        READ_MUTATIONS[mutation](lines, rows - 5, rng)
+        text = head + "n,t,re,im\n" + "\n".join(lines) + "\n"
+        unix = tmp_path / "unix.csv"
+        unix.write_text(text)
+        other = tmp_path / "other.csv"
+        other.write_bytes(text.replace("\n", newline).encode())
+        want = _outcome_without_path(_reference_read_signal_csv, other)
+        assert _outcome_without_path(read_signal_csv, other) == want, mutation
+        assert _outcome_without_path(read_signal_csv, unix) == want, mutation

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from trifmcw import waveform
 from trifmcw.experiments import (
+    BUILTIN_SCENARIOS,
     run_four_path,
     run_named_scenario,
     run_non_integer,
@@ -176,3 +178,27 @@ def test_report_and_metrics_bytes_are_pinned(tmp_path, scenario, seed, digest):
     for name in ("report.txt", "metrics.json"):
         h.update((out / name).read_bytes())
     assert h.hexdigest() == digest
+
+
+def _run_scenario(tmp_path, scenario, seed):
+    """A built-in scenario by name, or the MIXED_SCN file for "mixed.scn"."""
+    if not scenario.endswith(".scn"):
+        return run_named_scenario(scenario, seed=seed)
+    path = tmp_path / scenario
+    path.write_text(MIXED_SCN)
+    cfg = parse_scenario(path)
+    cfg.seed = seed
+    return run_custom(cfg)
+
+
+@pytest.mark.parametrize("scenario", [*BUILTIN_SCENARIOS, "mixed.scn"])
+def test_cold_and_warm_waveform_cache_write_the_same_files(tmp_path, monkeypatch, scenario):
+    monkeypatch.setattr(waveform, "_cache", {})
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    write_outputs(_run_scenario(tmp_path, scenario, 7), cold)
+    assert waveform._cache
+    write_outputs(_run_scenario(tmp_path, scenario, 7), warm)
+    names = sorted(path.name for path in cold.iterdir())
+    assert names == sorted(path.name for path in warm.iterdir())
+    for name in names:
+        assert (cold / name).read_bytes() == (warm / name).read_bytes(), name

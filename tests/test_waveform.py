@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trifmcw import ComplexSignal, ConfigError, WaveformKind, WaveformSpec, generate, spectrogram
+from trifmcw import waveform
 
 B = 8000.0
 TC = 0.1
@@ -274,3 +275,53 @@ def test_generate_equals_exp_of_the_phase_bitwise(kind, bandwidth, f0_of, fs_ove
     got = generate(spec).samples
     want = np.exp(1j * _exp_reference_phase(spec))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty waveform cache for this test; the process's own is restored after."""
+    monkeypatch.setattr(waveform, "_cache", {})
+    return waveform._cache
+
+
+def test_cached_waveform_equals_a_fresh_synthesis_bitwise(cold_cache):
+    for kind in WaveformKind:
+        spec = WaveformSpec(kind, B, TC, 500.0, 40_000.0)
+        first = generate(spec)
+        assert generate(spec) is first
+        cold_cache.clear()
+        fresh = generate(spec)
+        assert fresh is not first
+        assert np.array_equal(first.samples.view(np.uint64), fresh.samples.view(np.uint64))
+
+
+def test_generated_samples_are_read_only(cold_cache, monkeypatch):
+    sig = generate(tri_spec())
+    with pytest.raises(ValueError, match="read-only"):
+        sig.samples[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        sig.samples *= 2
+    # A waveform over the whole budget is not kept, and is read-only all the same.
+    monkeypatch.setattr(waveform, "_CACHE_BYTES", 1024)
+    big = generate(tri_spec(sample_rate_hz=2 * FS))
+    assert big.spec not in cold_cache
+    with pytest.raises(ValueError, match="read-only"):
+        big.samples[0] = 0
+
+
+def test_equal_specs_share_one_cache_entry(cold_cache):
+    sig = generate(WaveformSpec(WaveformKind.TRIANGLE, 8000, 0.1))
+    same = WaveformSpec(WaveformKind.TRIANGLE, 8000.0, 0.1, 0.0, 16_000.0)
+    assert generate(same) is sig
+    assert repr(sig.spec) == repr(same)  # an int B is held as the float it equals
+    assert list(cold_cache) == [same]
+
+
+def test_cached_bytes_never_exceed_the_budget(cold_cache, monkeypatch):
+    budget = 3 * tri_spec().num_samples * 16  # three desk triangles
+    monkeypatch.setattr(waveform, "_CACHE_BYTES", budget)
+    rng = np.random.default_rng(5)
+    for fs_over_b in rng.choice([2, 3, 4, 6, 8], size=30):
+        sig = generate(tri_spec(sample_rate_hz=float(fs_over_b) * B))
+        assert sum(s.samples.nbytes for s in cold_cache.values()) <= budget
+        assert (sig.spec in cold_cache) == (sig.samples.nbytes <= budget)
