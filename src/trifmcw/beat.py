@@ -40,6 +40,8 @@ __all__ = [
 
 # Slack, in samples, when assigning grid points to segment boundaries.
 _EDGE_TOL = 1e-9
+# Largest wrapped phase mismatch, in radians, that still counts as consistent.
+_PHASE_TOL = 1e-6
 
 
 def wrap_to_pi(angle):
@@ -187,9 +189,7 @@ class PhaseConsistency:
     consistent: bool
 
 
-def phase_consistency(
-    spec: WaveformSpec, tau: float, tolerance: float = 1e-6
-) -> PhaseConsistency:
+def phase_consistency(spec: WaveformSpec, tau: float) -> PhaseConsistency:
     """Compare the third segment's start phase against the extended tone.
 
     phi_seg3_start = pi*(a*tau^2 - 2*B*tau) is the beat phase just after
@@ -204,4 +204,4 @@ def phase_consistency(
     phi_seg3 = float(wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau)))
     phi_ext = float(wrap_to_pi(np.pi * (-a * tau**2 - 2.0 * B * tau)))
     mismatch = float(wrap_to_pi(phi_seg3 + phi_ext))
-    return PhaseConsistency(mismatch, abs(mismatch) < tolerance)
+    return PhaseConsistency(mismatch, abs(mismatch) < _PHASE_TOL)

@@ -8,8 +8,9 @@ Subcommands::
     trifmcw profile beat.csv [--out DIR] [--threshold-db -12]
 
 Exit codes: 0 success (report PASS), 1 usage error, 2 configuration
-invariant violated or an input/output file could not be read or written
-(``i/o error: ...``), 3 a report assertion FAILed.
+invariant violated, an input/output file could not be read or written
+(``i/o error: ...``) or a signal too large to allocate (``out of memory:
+...``), 3 a report assertion FAILed.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

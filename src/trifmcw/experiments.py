@@ -115,8 +115,9 @@ class ExperimentReport:
 
 
 def _pipeline(
-    tx: ComplexSignal, channel: ChannelModel, mapping: RangeMapping
+    spec: WaveformSpec, channel: ChannelModel, mapping: RangeMapping
 ) -> tuple[ComplexSignal, RangeProfile]:
+    tx = generate(spec)
     # No name holds the received signal, so it is freed before the FFT.
     beat = mix(tx, apply_channel(tx, channel))
     return beat, range_profile(beat, mapping)
@@ -138,16 +139,14 @@ def _run(
 ) -> ExperimentReport:
     """Run every channel variant through every spec, then evaluate the rows.
 
-    Each spec is generated once. A method is named by its waveform kind plus
-    its channel's key; methods are listed channel by channel in spec order,
-    and their metrics start with the peaks, then the keys of `extra_metrics`.
-    Each row (description, method, check) becomes one assertion under `ac_id`.
+    A method is named by its waveform kind plus its channel's key; methods
+    are listed channel by channel in spec order, and their metrics start with
+    the peaks, then the keys of `extra_metrics`. Each row (description,
+    method, check) becomes one assertion under `ac_id`.
     """
-    by_channel: dict[str, list[MethodResult]] = {suffix: [] for suffix in channels}
-    for spec in specs:
-        tx = generate(spec)
-        for suffix, channel in channels.items():
-            beat, profile = _pipeline(tx, channel, mapping)
+    for suffix, channel in channels.items():
+        for spec in specs:
+            beat, profile = _pipeline(spec, channel, mapping)
             peaks = detect_peaks(profile, threshold_db)
             metrics = {
                 "peak_bins": list(peaks.bins),
@@ -157,9 +156,7 @@ def _run(
             method = spec.kind.value + suffix
             result = MethodResult(method, beat, profile, peaks, metrics)
             metrics.update(extra_metrics(result))
-            by_channel[suffix].append(result)
-    for results in by_channel.values():
-        report.methods.extend(results)
+            report.methods.append(result)
     by_method = {m.method: m for m in report.methods}
     for description, method, check in rows:
         report.assertions.append(
@@ -279,11 +276,10 @@ def run_sntr_sweep(
     n_c = spec.samples_per_chirp
     p_values = sorted(set(int(round(p)) for p in np.linspace(1, 0.45 * n_c, points)))
 
-    tx = generate(spec)
     rows = []
     for p in p_values:
         tau = p / (2.0 * DESK_BANDWIDTH_HZ)
-        _, profile = _pipeline(tx, _unit_channel([tau]), mapping)
+        _, profile = _pipeline(spec, _unit_channel([tau]), mapping)
         rows.append((p / n_c, sntr(profile, p)))
 
     report = ExperimentReport(
@@ -433,18 +429,15 @@ def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentRepor
         WaveformKind.GENTLE,
         WaveformKind.EXTENDED,
     )
-    txs = {
-        kind.value: generate(
-            WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, SPACING_FS)
-        )
+    specs = [
+        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, SPACING_FS)
         for kind in kinds
-    }
+    ]
     r_fixed = 0.40
     tau_fixed = mapping.range_to_delay(r_fixed)
     positions = [round(0.50 - 0.01 * i, 4) for i in range(11)]
 
     rows = []
-    errors: dict[str, dict[float, float]] = {kind.value: {} for kind in kinds}
     for r_moving in positions:
         true_spacing = abs(r_moving - r_fixed)
         if r_moving == r_fixed:
@@ -454,27 +447,26 @@ def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentRepor
             channel = _unit_channel([tau_fixed, mapping.range_to_delay(r_moving)])
         row: list = [true_spacing]
         degenerate: list[str] = []
-        for kind in kinds:
-            beat, profile = _pipeline(txs[kind.value], channel, mapping)
+        for spec in specs:
+            beat, profile = _pipeline(spec, channel, mapping)
             peaks = detect_peaks(profile)
             if len(peaks) >= 2:
                 strongest = sorted(peaks, key=lambda pk: pk.power, reverse=True)[:2]
                 est = abs(strongest[0].range_m - strongest[1].range_m)
             else:
                 est = 0.0
-                degenerate.append(kind.value)
+                degenerate.append(spec.kind.value)
             row.append(est)
-            errors[kind.value][round(true_spacing, 4)] = abs(est - true_spacing)
         row.append(";".join(degenerate) if degenerate else "-")
         rows.append(tuple(row))
 
     header = ("true_spacing_m",) + tuple(f"est_{k.value}_m" for k in kinds) + (
         "degenerate_methods",
     )
-    tightest = [0.03, 0.02, 0.01]
+    tightest = [row for row in rows if round(row[0], 4) in (0.03, 0.02, 0.01)]
     mean_err = {
-        name: float(np.mean([errs[round(s, 4)] for s in tightest]))
-        for name, errs in errors.items()
+        kind.value: float(np.mean([abs(row[col] - row[0]) for row in tightest]))
+        for col, kind in enumerate(kinds, start=1)
     }
 
     report = ExperimentReport(

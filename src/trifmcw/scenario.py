@@ -163,12 +163,15 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     for token in methods_raw.split(","):
         token = token.strip().lower()
         try:
-            methods.append(WaveformKind(token))
+            kind = WaveformKind(token)
         except ValueError:
             known = ", ".join(k.value for k in WaveformKind)
             raise ConfigError(
                 f"{methods_where}: unknown method {token!r} (known: {known})"
             ) from None
+        if kind in methods:
+            raise ConfigError(f"{methods_where}: duplicate method {token!r}")
+        methods.append(kind)
 
     fs_raw, fs_where = take("fs")
     fs = _parse_float(fs_raw, fs_where) if fs_raw is not None else None
@@ -234,9 +237,9 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
             raise ConfigError(f"{where}: gain=rayleigh excludes gain_re/gain_im")
         gain = "rayleigh"
     else:
-        re_raw, _ = fields.pop("gain_re", ("1", 0))
-        im_raw, _ = fields.pop("gain_im", ("0", 0))
-        gain = complex(_parse_float(re_raw, where), _parse_float(im_raw, where))
+        re_raw, re_where = fields.pop("gain_re", ("1", where))
+        im_raw, im_where = fields.pop("gain_im", ("0", where))
+        gain = complex(_parse_float(re_raw, re_where), _parse_float(im_raw, im_where))
         if gain == 0:
             raise ConfigError(f"{where}: tap gain must be nonzero")
     if fields:

@@ -32,7 +32,7 @@ SPEED_OF_SOUND_MPS = 343.0
 
 DEFAULT_THRESHOLD_DB = -12.0
 DEFAULT_TWIN_OUTER_DB = -14.0
-DEFAULT_GUARD_BINS = 2
+GUARD_BINS = 2
 
 
 @dataclass(frozen=True)
@@ -224,20 +224,18 @@ def energy_dominance(beat: ComplexSignal, p: int) -> float:
     return pair / total
 
 
-def sntr(profile: RangeProfile, true_p: int, guard: int = DEFAULT_GUARD_BINS) -> float:
+def sntr(profile: RangeProfile, true_p: int) -> float:
     """Signal-to-transition-noise ratio in dB.
 
     Ratio of the power at the true bin to the strongest bin outside the
-    guard band [true_p - guard, true_p + guard]. Returns +inf when every
-    off-peak bin is exactly zero.
+    guard band [true_p - GUARD_BINS, true_p + GUARD_BINS]. Returns +inf when
+    every off-peak bin is exactly zero.
     """
-    if guard < 0:
-        raise ValueError(f"guard must be >= 0, got {guard}")
     power = profile.bin_power
     if not 0 <= true_p < power.size:
         raise ValueError(f"bin {true_p} outside the profile range 0..{power.size - 1}")
     mask = np.ones(power.size, dtype=bool)
-    mask[max(0, true_p - guard) : true_p + guard + 1] = False
+    mask[max(0, true_p - GUARD_BINS) : true_p + GUARD_BINS + 1] = False
     if not mask.any():
         raise ValueError("guard band covers the entire profile")
     off_peak = float(power[mask].max())

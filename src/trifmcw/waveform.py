@@ -131,11 +131,6 @@ class WaveformSpec:
         return self.bandwidth_hz
 
     @property
-    def symbol_duration_s(self) -> float:
-        """Two-chirp symbol duration Ts = 2 * Tc."""
-        return 2.0 * self.chirp_duration_s
-
-    @property
     def samples_per_chirp(self) -> int:
         return int(round(self.sample_rate_hz * self.chirp_duration_s))
 

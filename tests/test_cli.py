@@ -381,3 +381,23 @@ def test_fs_flag_off_the_grid_exits_two_on_a_scn_without_taps(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "complex-baseband bound" in err
     assert not out.exists()
+
+
+# 4e15 samples (28 PiB) exceed any address space, so the allocation fails at
+# once without touching memory.
+def test_waveform_too_large_to_allocate_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("waveform", "--bandwidth", "1e15", "--chirp", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("out of memory: ")
+    assert not out.exists()
+
+
+def test_simulate_scn_too_large_to_allocate_exits_two(tmp_path, capsys):
+    scn = tmp_path / "big.scn"
+    scn.write_text("bandwidth = 1e15\nchirp = 1\n\n[tap]\ndelay_p = 3\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("out of memory: ")
+    assert not out.exists()

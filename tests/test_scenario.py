@@ -119,6 +119,28 @@ def test_unknown_method(tmp_path):
         parse_scenario(path)
 
 
+def test_duplicate_method_reports_line(tmp_path):
+    text = "bandwidth = 8000\nchirp = 0.1\nmethods = triangle, Triangle\n"
+    with pytest.raises(ConfigError, match=r"case.scn:3: duplicate method 'triangle'"):
+        parse_scenario(write_scn(tmp_path, text))
+
+
+# A bad number names its own line; a zero gain, set by two lines, the [tap].
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        ("gain_re = abc\n", "case.scn:6: expected a number, got 'abc'"),
+        ("gain_re = 1\ngain_im = abc\n", "case.scn:7: expected a number, got 'abc'"),
+        ("gain_re = 0\ngain_im = 0\n", "case.scn:4: tap gain must be nonzero"),
+    ],
+    ids=["gain_re", "gain_im", "zero"],
+)
+def test_gain_errors_name_their_line(tmp_path, lines, error):
+    text = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\ndelay_p = 3\n" + lines
+    with pytest.raises(ConfigError, match=error):
+        parse_scenario(write_scn(tmp_path, text))
+
+
 def test_tap_needs_exactly_one_position(tmp_path):
     text = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\ndelay_p = 3\nrange_m = 0.5\n"
     with pytest.raises(ConfigError, match="exactly one of"):

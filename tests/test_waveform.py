@@ -25,7 +25,6 @@ def linear_spec(n, fs):
 def test_spec_derived_quantities():
     spec = tri_spec()
     assert spec.slope == B / TC
-    assert spec.symbol_duration_s == 2 * TC
     assert spec.samples_per_chirp == 1600
     assert spec.num_samples == 3200
 
