@@ -6,17 +6,7 @@ the beat spectrum into range profiles whose bin pitch is half the
 conventional single-chirp limit.
 """
 
-from .beat import (
-    BeatSegments,
-    PhaseConsistency,
-    Segment,
-    analytic_beat,
-    beat_segments,
-    mix,
-    phase_consistency,
-    reference_beat,
-    wrap_to_pi,
-)
+from .beat import analytic_beat, mix, phase_consistency
 from .channel import ChannelModel, ChannelTap, apply_channel, rayleigh_taps
 from .errors import ConfigError, GridAlignmentError
 from .spectrum import (
@@ -27,7 +17,6 @@ from .spectrum import (
     detect_peaks,
     energy_dominance,
     range_profile,
-    real_part_spectrum,
     sntr,
 )
 from .waveform import ComplexSignal, WaveformKind, WaveformSpec, generate, spectrogram
@@ -44,20 +33,13 @@ __all__ = [
     "ChannelModel",
     "apply_channel",
     "rayleigh_taps",
-    "Segment",
-    "BeatSegments",
-    "PhaseConsistency",
-    "beat_segments",
     "mix",
     "analytic_beat",
-    "reference_beat",
     "phase_consistency",
-    "wrap_to_pi",
     "RangeMapping",
     "RangeProfile",
     "Peak",
     "PeakSet",
-    "real_part_spectrum",
     "range_profile",
     "detect_peaks",
     "energy_dominance",

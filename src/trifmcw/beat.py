@@ -26,17 +26,7 @@ import numpy as np
 
 from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
-__all__ = [
-    "Segment",
-    "BeatSegments",
-    "PhaseConsistency",
-    "beat_segments",
-    "mix",
-    "analytic_beat",
-    "reference_beat",
-    "phase_consistency",
-    "wrap_to_pi",
-]
+__all__ = ["mix", "analytic_beat", "phase_consistency"]
 
 # Slack, in samples, when assigning grid points to segment boundaries.
 _EDGE_TOL = 1e-9
@@ -44,62 +34,23 @@ _EDGE_TOL = 1e-9
 _PHASE_TOL = 1e-6
 
 
-def wrap_to_pi(angle):
-    """Wrap angle(s) to (-pi, pi]."""
-    w = np.mod(angle, 2.0 * np.pi)
-    if np.ndim(w):
-        return np.where(w > np.pi, w - 2.0 * np.pi, w)
-    return float(w - 2.0 * np.pi) if w > np.pi else float(w)
+def _wrap_to_pi(angle: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    w = float(np.mod(angle, 2.0 * np.pi))
+    return w - 2.0 * np.pi if w > np.pi else w
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One beat segment: grid samples [n_start, n_stop).
+def _segment_edges(spec: WaveformSpec, tau: float) -> tuple[int, int, int]:
+    """Grid indices where the first, transition and mirrored segments start.
 
-    Constant segments carry their tone frequency, the transition segment
-    its chirp rate; the segment phases are stated in the module docstring.
+    The mirrored segment runs to the end of the symbol. A sample exactly on
+    a boundary belongs to the later segment's closed start; the comparison
+    carries a small slack so delays specified as rational numbers of
+    seconds hit the intended bin.
     """
-
-    n_start: int
-    n_stop: int
-    frequency_hz: float | None
-    chirp_rate_hz_per_s: float | None
-
-
-@dataclass(frozen=True)
-class BeatSegments:
-    """The constant-frequency, transition and mirrored constant segments."""
-
-    seg1: Segment
-    seg2: Segment
-    seg3: Segment
-
-
-def _segment_edges(spec: WaveformSpec, tau: float) -> tuple[int, int, int, int]:
-    """Grid indices of the zero/seg1, seg1/seg2 and seg2/seg3 boundaries.
-
-    A sample exactly on a boundary belongs to the later segment's closed
-    start; the comparison carries a small slack so delays specified as
-    rational numbers of seconds hit the intended bin.
-    """
-    fs = spec.sample_rate_hz
-    d = tau * fs
     n_c = spec.samples_per_chirp
-    n_s = 2 * n_c
-    start1 = int(np.ceil(d - _EDGE_TOL))
-    start3 = n_c + start1
-    return start1, n_c, start3, n_s
-
-
-def beat_segments(spec: WaveformSpec, tau: float) -> BeatSegments:
-    """Describe the three segments of the triangle beat for delay `tau`."""
-    _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
-    a = spec.slope
-    start1, start2, start3, stop = _segment_edges(spec, tau)
-    seg1 = Segment(start1, start2, -a * tau, None)
-    seg2 = Segment(start2, start3, None, 2.0 * a)
-    seg3 = Segment(start3, stop, a * tau, None)
-    return BeatSegments(seg1, seg2, seg3)
+    start1 = int(np.ceil(tau * spec.sample_rate_hz - _EDGE_TOL))
+    return start1, n_c, n_c + start1
 
 
 def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
@@ -140,7 +91,7 @@ def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     tc = spec.chirp_duration_s
     n = np.arange(spec.num_samples)
     t = n / spec.sample_rate_hz
-    start1, start2, start3, _ = _segment_edges(spec, tau)
+    start1, start2, start3 = _segment_edges(spec, tau)
 
     phase = np.zeros(n.size, dtype=np.float64)
     s1 = slice(start1, start2)
@@ -155,27 +106,6 @@ def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     )
     phase[s3] = np.pi * (2.0 * a * tau * t[s3] - 4.0 * B * tau - a * tau**2)
 
-    out = np.exp(1j * phase)
-    out[:start1] = 0.0
-    return ComplexSignal(out, spec)
-
-
-def reference_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
-    """Single-tone beat of the doubled-bandwidth extended sweep.
-
-    The tone sits at -alpha*tau with phase offset pi*alpha*tau^2 (minus
-    2*pi*f0*tau for nonzero start frequency), spans the full two-chirp
-    window after the echo arrives, and is zero before. This is the oracle
-    the triangle beat's real part is measured against.
-    """
-    _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
-    a = spec.slope
-    t = np.arange(spec.num_samples) / spec.sample_rate_hz
-    start1, _, _, _ = _segment_edges(spec, tau)
-    # written as the first-segment expression so the two agree bit-for-bit
-    phase = np.pi * (-2.0 * a * tau * t + a * tau**2) - (
-        2.0 * np.pi * spec.start_freq_hz * tau
-    )
     out = np.exp(1j * phase)
     out[:start1] = 0.0
     return ComplexSignal(out, spec)
@@ -201,7 +131,7 @@ def phase_consistency(spec: WaveformSpec, tau: float) -> PhaseConsistency:
     _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
     a = spec.slope
     B = spec.bandwidth_hz
-    phi_seg3 = float(wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau)))
-    phi_ext = float(wrap_to_pi(np.pi * (-a * tau**2 - 2.0 * B * tau)))
-    mismatch = float(wrap_to_pi(phi_seg3 + phi_ext))
+    phi_seg3 = _wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau))
+    phi_ext = _wrap_to_pi(np.pi * (-a * tau**2 - 2.0 * B * tau))
+    mismatch = _wrap_to_pi(phi_seg3 + phi_ext)
     return PhaseConsistency(mismatch, abs(mismatch) < _PHASE_TOL)

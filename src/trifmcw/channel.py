@@ -100,7 +100,7 @@ class _SplitMix64:
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = check_seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
@@ -112,6 +112,17 @@ class _SplitMix64:
     def next_unit(self) -> float:
         """Uniform double in (0, 1]: (top 53 bits + 1) / 2^53."""
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
+
+
+def check_seed(seed: int) -> int:
+    """Return `seed`, or raise ValueError naming it when outside [0, 2^64).
+
+    That range is the SplitMix64 state; a seed outside it would alias to the
+    state of a seed inside it.
+    """
+    if not 0 <= seed <= _SplitMix64._MASK:
+        raise ValueError(f"seed must be non-negative and below 2^64, got {seed}")
+    return seed
 
 
 def _standard_normal_pair(rng: _SplitMix64) -> tuple[float, float]:

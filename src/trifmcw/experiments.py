@@ -23,7 +23,7 @@ import numpy as np
 
 from . import csvio
 from .beat import mix
-from .channel import ChannelModel, ChannelTap, apply_channel, rayleigh_taps
+from .channel import ChannelModel, ChannelTap, apply_channel, check_seed, rayleigh_taps
 from .errors import ConfigError
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
@@ -576,7 +576,8 @@ BUILTIN_SCENARIOS = {
 def run_named_scenario(
     name: str, seed: int = 1, mapping: RangeMapping = RangeMapping()
 ):
-    """Dispatch a built-in scenario by name."""
+    """Dispatch a built-in scenario by name; every one rejects a bad seed."""
+    check_seed(seed)
     runner = BUILTIN_SCENARIOS[name]
     if name in ("four_path", "non_integer"):
         return runner(seed=seed, mapping=mapping)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import ChannelModel, ChannelTap, rayleigh_taps
+from .channel import ChannelModel, ChannelTap, check_seed, rayleigh_taps
 from .errors import ConfigError
 from .spectrum import DEFAULT_THRESHOLD_DB, RangeMapping, SPEED_OF_SOUND_MPS
 from .waveform import WaveformKind
@@ -190,8 +190,10 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
         seed = int(seed_raw)
     except ValueError:
         raise ConfigError(f"{seed_where}: seed must be an integer") from None
-    if seed < 0:
-        raise ConfigError(f"{seed_where}: seed must be non-negative")
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"{seed_where}: {exc}") from None
 
     if globals_:
         key, (_, where) = next(iter(globals_.items()))

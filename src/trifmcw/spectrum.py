@@ -21,7 +21,6 @@ __all__ = [
     "RangeProfile",
     "Peak",
     "PeakSet",
-    "real_part_spectrum",
     "range_profile",
     "detect_peaks",
     "energy_dominance",
@@ -122,26 +121,17 @@ class PeakSet:
         return tuple(p.bin_p for p in self.peaks)
 
 
-def _real_part(beat: ComplexSignal) -> np.ndarray:
-    if len(beat) < 2:
-        raise ValueError("beat must hold at least two samples")
-    return np.real(beat.samples)
-
-
-def real_part_spectrum(beat: ComplexSignal) -> np.ndarray:
-    """Full-length DFT of Re(beat); Hermitian-symmetric by construction."""
-    return np.fft.fft(_real_part(beat))
-
-
 def range_profile(
     beat: ComplexSignal, mapping: RangeMapping = RangeMapping()
 ) -> RangeProfile:
     """Power-vs-range profile over the non-negative-frequency bins.
 
-    The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; it
-    matches the first half of ``real_part_spectrum`` to within rounding.
+    The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; the
+    rest of the full DFT is their Hermitian mirror.
     """
-    power = np.abs(np.fft.rfft(_real_part(beat))) ** 2
+    if len(beat) < 2:
+        raise ValueError("beat must hold at least two samples")
+    power = np.abs(np.fft.rfft(np.real(beat.samples))) ** 2
     duration = len(beat) / beat.sample_rate_hz
     spacing = mapping.propagation_speed_mps / (beat.spec.effective_slope * duration)
     if mapping.round_trip:
@@ -208,19 +198,20 @@ def energy_dominance(beat: ComplexSignal, p: int) -> float:
     Computed as (|Y(p)|^2 + |Y(-p)|^2) / (N * sum(Re(beat)^2)); the
     denominator equals the total spectral energy by Parseval, so the ratio
     lies in [0, 1] and approaches 1 as the delay becomes a vanishing
-    fraction of the chirp. The DC and Nyquist bins are their own mirror and
-    are counted once.
+    fraction of the chirp. Re(beat) is real, so |Y(-p)| = |Y(p)| and the
+    pair is read from the real-input FFT; the DC and Nyquist bins are their
+    own mirror and are counted once.
     """
-    spectrum = real_part_spectrum(beat)
-    n = spectrum.size
+    real = np.real(beat.samples)
+    n = real.size
     if not 0 <= p <= n // 2:
         raise ValueError(f"bin {p} outside the profile range 0..{n // 2}")
-    total = n * float(np.sum(np.real(beat.samples) ** 2))
+    total = n * float(np.sum(real**2))
     if total == 0.0:
         return 0.0
-    pair = float(np.abs(spectrum[p]) ** 2)
+    pair = float(np.abs(np.fft.rfft(real)[p]) ** 2)
     if p != 0 and 2 * p != n:
-        pair += float(np.abs(spectrum[-p]) ** 2)
+        pair *= 2.0
     return pair / total
 
 

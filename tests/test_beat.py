@@ -9,17 +9,18 @@ from trifmcw import (
     WaveformSpec,
     analytic_beat,
     apply_channel,
-    beat_segments,
     generate,
     mix,
     phase_consistency,
-    reference_beat,
-    wrap_to_pi,
 )
+from trifmcw.beat import _wrap_to_pi
 
 B = 8000.0
 TC = 0.1
 SPEC = WaveformSpec(WaveformKind.TRIANGLE, B, TC)
+NC = SPEC.samples_per_chirp
+# fs = 4B, so every second sample of an extended beat lies on SPEC's grid
+EXT = WaveformSpec(WaveformKind.EXTENDED, B, TC)
 
 
 def tap_of(p):
@@ -30,6 +31,11 @@ def mixed_beat(spec, tau, gain=1.0):
     tx = generate(spec)
     rx = apply_channel(tx, ChannelModel((ChannelTap(tau, gain),)))
     return mix(tx, rx)
+
+
+def reference_tone(tau):
+    """The doubled-bandwidth reference: the extended sweep's beat on SPEC's grid."""
+    return mixed_beat(EXT, tau).samples[::2]
 
 
 def test_mix_of_signal_with_itself_is_one():
@@ -127,54 +133,53 @@ def test_analytic_beat_tau_zero_is_constant_one():
 
 
 def test_analytic_beat_segment3_start_phase():
-    # phase just past Tc+tau is pi*(a*tau^2 - 2*B*tau)
+    # phase just past Tc+tau is pi*(a*tau^2 - 2*B*tau); seg3 starts at Nc+p
     for p in (3, 16, 200):
         tau = tap_of(p)
         beat = analytic_beat(SPEC, tau)
-        segs = beat_segments(SPEC, tau)
-        got = np.angle(beat.samples[segs.seg3.n_start])
-        want = wrap_to_pi(np.pi * (SPEC.slope * tau**2 - 2 * B * tau))
-        assert abs(wrap_to_pi(got - want)) < 1e-9
+        want = np.pi * (SPEC.slope * tau**2 - 2 * B * tau)
+        assert abs(np.angle(beat.samples[NC + p] * np.exp(-1j * want))) < 1e-9
 
 
 def test_analytic_beat_seg1_tone_at_negative_p():
-    # DFT of the first segment alone peaks at bin -p of the full window
-    tau = tap_of(4)
-    beat = analytic_beat(SPEC, tau)
-    segs = beat_segments(SPEC, tau)
+    # DFT of the first segment [p, Nc) alone peaks at bin -p of the full window
+    p = 4
+    beat = analytic_beat(SPEC, tap_of(p))
     seg1_only = np.zeros(len(beat), dtype=complex)
-    seg1_only[segs.seg1.n_start : segs.seg1.n_stop] = beat.samples[
-        segs.seg1.n_start : segs.seg1.n_stop
-    ]
+    seg1_only[p:NC] = beat.samples[p:NC]
     spectrum = np.fft.fft(seg1_only)
-    assert np.argmax(np.abs(spectrum)) == len(beat) - 4
+    assert np.argmax(np.abs(spectrum)) == len(beat) - p
 
 
 def test_segment_partition_and_widths():
-    tau = tap_of(37)
-    segs = beat_segments(SPEC, tau)
-    assert segs.seg1.n_start == 37
-    assert segs.seg1.n_stop == segs.seg2.n_start == SPEC.samples_per_chirp
-    assert segs.seg2.n_stop == segs.seg3.n_start == SPEC.samples_per_chirp + 37
-    assert segs.seg3.n_stop == SPEC.num_samples
-    assert segs.seg1.frequency_hz == -SPEC.slope * tau
-    assert segs.seg3.frequency_hz == SPEC.slope * tau
-    assert segs.seg2.chirp_rate_hz_per_s == 2 * SPEC.slope
+    # seg1 is [p, Nc), seg2 [Nc, Nc+p) and seg3 [Nc+p, 2Nc): the zero prefix
+    # ends at p, and each constant tone holds up to its boundary and no further
+    p = 37
+    beat = analytic_beat(SPEC, tap_of(p)).samples
+    assert beat.size == 2 * NC
+    assert np.all(beat[:p] == 0)
+    assert np.all(np.abs(beat[p:]) > 0.99)
+    step = 2 * np.pi * SPEC.slope * tap_of(p) / SPEC.sample_rate_hz
+    dphi = np.angle(beat[1:] * np.conj(beat[:-1]))  # phase(n+1) - phase(n)
+    assert np.max(np.abs(dphi[p:NC] + step)) < 1e-9
+    assert abs(dphi[NC] + step) > 1e-4
+    assert np.max(np.abs(dphi[NC + p :] - step)) < 1e-9
+    assert abs(dphi[NC + p - 1] - step) > 1e-4
 
 
 def test_segment_discrete_frequencies():
-    tau = tap_of(24)
+    # tones at -a*tau on seg1 and +a*tau on seg3, a chirp of rate 2a on seg2
+    p = 24
+    tau = tap_of(p)
     beat = analytic_beat(SPEC, tau)
-    segs = beat_segments(SPEC, tau)
     fs = SPEC.sample_rate_hz
     dphi = np.angle(beat.samples[1:] * np.conj(beat.samples[:-1]))
-    for seg in (segs.seg1, segs.seg3):
-        inner = dphi[seg.n_start : seg.n_stop - 1]
-        expect = 2 * np.pi * seg.frequency_hz / fs
-        assert np.max(np.abs(inner - expect)) < 1e-9
-    trans = dphi[segs.seg2.n_start : segs.seg2.n_stop - 1]
+    for seg, freq in ((slice(p, NC - 1), -SPEC.slope * tau),
+                      (slice(NC + p, 2 * NC - 1), SPEC.slope * tau)):
+        assert np.max(np.abs(dphi[seg] - 2 * np.pi * freq / fs)) < 1e-9
+    trans = dphi[NC : NC + p - 1]
     steps = np.diff(trans)
-    expect_step = 2 * np.pi * segs.seg2.chirp_rate_hz_per_s / fs**2
+    expect_step = 2 * np.pi * 2 * SPEC.slope / fs**2
     assert np.max(np.abs(steps - expect_step)) < 1e-9
 
 
@@ -203,51 +208,46 @@ def test_consistency_iff_integer_p_sweep():
 
 
 def test_reference_beat_tau_zero_is_one():
-    np.testing.assert_allclose(reference_beat(SPEC, 0.0).samples, 1.0, atol=1e-12)
+    np.testing.assert_allclose(reference_tone(0.0), 1.0, atol=1e-12)
 
 
-def test_reference_matches_analytic_on_seg1_exactly():
-    tau = tap_of(12)
-    ref = reference_beat(SPEC, tau).samples
-    ana = analytic_beat(SPEC, tau).samples
-    segs = beat_segments(SPEC, tau)
-    s1 = slice(segs.seg1.n_start, segs.seg1.n_stop)
-    np.testing.assert_array_equal(ref[s1], ana[s1])
+def test_reference_matches_analytic_on_seg1():
+    p = 12
+    ref = reference_tone(tap_of(p))
+    ana = analytic_beat(SPEC, tap_of(p)).samples
+    np.testing.assert_array_equal(ref[:p], ana[:p])
+    assert np.max(np.abs(ref[p:NC] - ana[p:NC])) < 1e-9
 
 
 def test_real_parts_align_on_seg3_at_integer_p():
     for p in (4, 7, 31):
         tau = tap_of(p)
-        ref = reference_beat(SPEC, tau).samples
-        ana = analytic_beat(SPEC, tau).samples
-        segs = beat_segments(SPEC, tau)
-        s3 = slice(segs.seg3.n_start, segs.seg3.n_stop)
-        assert np.max(np.abs(np.real(ref[s3]) - np.real(ana[s3]))) < 1e-9
+        ref = reference_tone(tau)[NC + p :]
+        ana = analytic_beat(SPEC, tau).samples[NC + p :]
+        assert np.max(np.abs(np.real(ref) - np.real(ana))) < 1e-9
         # the complex segment is the conjugate of the tone there
-        assert np.max(np.abs(ana[s3] - np.conj(ref[s3]))) < 1e-9
+        assert np.max(np.abs(ana - np.conj(ref))) < 1e-9
 
 
 def test_reference_extended_pipeline_equivalence():
-    # mixing an extended sweep against its delayed copy gives the same tone
-    ext = WaveformSpec(WaveformKind.EXTENDED, B, TC)
+    # mixing an extended sweep against its delayed copy gives one tone at
+    # -a*tau with phase offset pi*a*tau^2 over the whole symbol, zero before
     tau = 16 / (2 * B)
-    tx = generate(ext)
-    rx = apply_channel(tx, ChannelModel((ChannelTap(tau, 1.0),)))
-    got = mix(tx, rx).samples
-    same_rate = WaveformSpec(
-        WaveformKind.TRIANGLE, B, TC, sample_rate_hz=ext.sample_rate_hz
-    )
-    want = reference_beat(same_rate, tau).samples
+    got = mixed_beat(EXT, tau).samples
+    d = round(tau * EXT.sample_rate_hz)
+    t = np.arange(EXT.num_samples) / EXT.sample_rate_hz
+    want = np.exp(1j * np.pi * (-2.0 * EXT.slope * tau * t + EXT.slope * tau**2))
+    want[:d] = 0.0
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_wrap_to_pi_scalar_and_array():
-    assert wrap_to_pi(0.0) == 0.0
-    assert wrap_to_pi(np.pi) == np.pi  # pi stays pi in (-pi, pi]
-    assert wrap_to_pi(-np.pi) == np.pi
-    assert wrap_to_pi(3 * np.pi) == pytest.approx(np.pi)
-    arr = wrap_to_pi(np.array([0.0, 2 * np.pi + 0.1, -0.1 - 2 * np.pi]))
-    np.testing.assert_allclose(arr, [0.0, 0.1, -0.1], atol=1e-12)
+def test_wrap_to_pi_half_open_interval():
+    assert _wrap_to_pi(0.0) == 0.0
+    assert _wrap_to_pi(np.pi) == np.pi  # pi stays pi in (-pi, pi]
+    assert _wrap_to_pi(-np.pi) == np.pi
+    assert _wrap_to_pi(3 * np.pi) == pytest.approx(np.pi)
+    assert _wrap_to_pi(2 * np.pi + 0.1) == pytest.approx(0.1)
+    assert _wrap_to_pi(-0.1 - 2 * np.pi) == pytest.approx(-0.1)
 
 
 def test_oracle_requires_triangle_and_zero_f0():

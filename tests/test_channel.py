@@ -107,6 +107,15 @@ def test_rayleigh_taps_deterministic():
     assert c.taps != a.taps
 
 
+def test_rayleigh_seed_range_is_zero_to_two_to_the_64():
+    # outside [0, 2^64) a seed would alias to one inside it, e.g. -1 to 2^64 - 1
+    for seed in (0, 2**64 - 1):
+        assert len(rayleigh_taps([0.001], seed=seed)) == 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            rayleigh_taps([0.001], seed=seed)
+
+
 def test_rayleigh_taps_duplicate_delays_rejected():
     with pytest.raises(ValueError, match="distinct"):
         rayleigh_taps([0.001, 0.001], seed=1)

@@ -373,6 +373,24 @@ def test_simulate_negative_seed_on_a_scn_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_builtin_negative_seed_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("simulate", "four_path", "--seed", "-1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "seed" in err and "got -1" in err
+    assert not out.exists()
+
+
+def test_scn_seed_of_two_to_the_64_exits_two(tmp_path, capsys):
+    scn = _scn(tmp_path, "seed = 18446744073709551616\n" + _OVERRIDE_TAPS)
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{scn}:3:" in err
+    assert "got 18446744073709551616" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fs", ["5", "-5"])
 def test_fs_flag_off_the_grid_exits_two_on_a_scn_without_taps(tmp_path, capsys, fs):
     scn = _scn(tmp_path, "methods = triangle,extended\n")

@@ -20,7 +20,6 @@ from trifmcw import (
     generate,
     mix,
     range_profile,
-    real_part_spectrum,
     sntr,
 )
 from trifmcw.experiments import run_sntr_sweep
@@ -47,14 +46,14 @@ def unit_beat(spec, ps):
 
 def test_constant_beat_is_all_dc():
     beat = analytic_beat(SPEC, 0.0)
-    spectrum = real_part_spectrum(beat)
+    spectrum = np.fft.fft(np.real(beat.samples))
     assert np.argmax(np.abs(spectrum)) == 0
     assert abs(spectrum[0]) == pytest.approx(SPEC.num_samples)
 
 
 def test_hermitian_symmetry():
     beat = unit_beat(SPEC, [13])
-    spectrum = real_part_spectrum(beat)
+    spectrum = np.fft.fft(np.real(beat.samples))
     mirrored = np.conj(spectrum[::-1])
     np.testing.assert_allclose(
         spectrum[1:], mirrored[:-1], rtol=1e-9, atol=1e-6 * np.abs(spectrum).max()
@@ -63,7 +62,7 @@ def test_hermitian_symmetry():
 
 def test_parseval():
     beat = unit_beat(SPEC, [21])
-    spectrum = real_part_spectrum(beat)
+    spectrum = np.fft.fft(np.real(beat.samples))
     lhs = len(beat) * np.sum(np.real(beat.samples) ** 2)
     rhs = np.sum(np.abs(spectrum) ** 2)
     assert abs(lhs - rhs) / rhs < 1e-6
@@ -72,7 +71,7 @@ def test_parseval():
 def test_integer_p_peaks_at_p_and_mirror():
     p = 24
     beat = analytic_beat(SPEC, tap_of(p))
-    spectrum = np.abs(real_part_spectrum(beat))
+    spectrum = np.abs(np.fft.fft(np.real(beat.samples)))
     n = len(beat)
     assert int(np.argmax(spectrum)) in (p, n - p)
     assert spectrum[p] == pytest.approx(spectrum[n - p], rel=1e-9)
@@ -83,7 +82,7 @@ def test_peak_bin_value_magnitude_and_phase():
     p = 16  # Ntau/Nc = 0.01
     tau = tap_of(p)
     beat = unit_beat(SPEC, [p])
-    y_p = real_part_spectrum(beat)[p]
+    y_p = np.fft.fft(np.real(beat.samples))[p]
     n_c = SPEC.samples_per_chirp
     assert abs(np.abs(y_p) - (n_c - p)) / (n_c - p) < 0.02
     phase_err = np.angle(y_p * np.exp(1j * np.pi * SPEC.slope * tau**2))
@@ -189,9 +188,8 @@ def test_dominance_bin_out_of_range_rejected():
 
 
 def test_sntr_reference_tone_floor():
-    from trifmcw import reference_beat
-
-    beat = reference_beat(SPEC, tap_of(1))
+    # the extended sweep's beat is the single reference tone, bin p = 1
+    beat = unit_beat(WaveformSpec(WaveformKind.EXTENDED, B, TC), [1])
     profile = range_profile(beat, MAP)
     assert sntr(profile, 1) >= 60.0
 
@@ -231,6 +229,13 @@ def test_bin_exactness_single_tap():
     for p in (8, 33, 101):
         profile = range_profile(unit_beat(SPEC, [p]), MAP)
         assert int(np.argmax(profile.bin_power)) == p
+
+
+def test_single_real_tap_listed_alone_only_below_x_0218():
+    # at -12 dB the p-2 lobe of one real tap crosses the threshold between
+    # p = 348 and p = 349 (x = p/Nc = 0.218 at Nc = 1600)
+    assert detect_peaks(range_profile(unit_beat(SPEC, [348]), MAP)).bins == (348,)
+    assert detect_peaks(range_profile(unit_beat(SPEC, [349]), MAP)).bins == (347, 349)
 
 
 def test_straddling_tap_detected_between_bins():
@@ -289,7 +294,7 @@ def test_range_profile_matches_full_spectrum_half(spec, ps):
     beat = channel_beat(spec, [(p / fs, 1.0 - 0.1j * k) for k, p in enumerate(ps)])
     n = len(beat)
     profile = range_profile(beat, MAP)
-    expected = np.abs(real_part_spectrum(beat)[: n // 2 + 1]) ** 2
+    expected = np.abs(np.fft.fft(np.real(beat.samples))[: n // 2 + 1]) ** 2
     assert profile.num_bins == n // 2 + 1
     np.testing.assert_allclose(profile.bin_power, expected, rtol=1e-9, atol=0)
 
