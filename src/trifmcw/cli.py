@@ -16,6 +16,7 @@ invariant violated, an input/output file could not be read or written
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; each ``parse_args`` returns a new Namespace."""
     parser = _Parser(prog="trifmcw", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -74,7 +77,11 @@ def _build_parser() -> _Parser:
     sim.add_argument("scenario",
                      help="four_path | sntr_sweep | non_integer | spacing_sweep "
                           "| path to a .scn file")
-    sim.add_argument("--seed", type=int, default=None, help="random-gain seed")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="random-gain seed in [0, 2^64); only four_path "
+                          "and .scn files draw gains from it. non_integer only records "
+                          "it in constants.seed; sntr_sweep and spacing_sweep ignore it "
+                          "beyond the range check")
     sim.add_argument("--speed", type=float, default=None,
                      help="propagation speed in m/s (default 343)")
     sim.add_argument("--one-way", action="store_true",
@@ -164,6 +171,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_profile(args) -> int:
     samples, meta = csvio.read_signal_csv(args.beat_csv)
     spec = csvio.spec_from_meta(meta, args.beat_csv)
+    if len(samples) != spec.num_samples:
+        raise ConfigError(
+            f"{args.beat_csv}: {len(samples)} sample rows, but the grid its "
+            f"metadata sets needs {spec.num_samples}"
+        )
     beat = ComplexSignal(samples, spec)
     profile = range_profile(beat, _mapping_from(args))
     peaks = detect_peaks(profile, args.threshold_db)
@@ -176,8 +188,7 @@ def _cmd_profile(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

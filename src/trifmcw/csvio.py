@@ -6,19 +6,27 @@ significant digits using locale-independent formatting. Sample values
 a write/read cycle bit-for-bit and downstream profiles stay reproducible.
 Metadata rides along as ``# key=value`` comment lines above the header.
 
-Rows are formatted and parsed a block of ``_BLOCK_ROWS`` rows at a time:
-one ``%`` format per block when writing, one ``int``/``float`` map per
-column when reading. The format is unchanged by this, byte for byte:
-``%.6g`` and :func:`fmt`'s ``f"{x:.6g}"`` run the same CPython float
-formatter. Writes are buffered per block, so no more than one block of text
-is held in memory; the reader splits the text into lines a chunk at a
-time and keeps one array of samples per block.
+Rows are written a block of ``_BLOCK_ROWS`` rows at a time, one ``%``
+format per block. The format is unchanged by this, byte for byte: ``%.6g``
+and :func:`fmt`'s ``f"{x:.6g}"`` run the same CPython float formatter.
+Writes are buffered per block, so no more than one block of text is held in
+memory.
+
+The reader reads the text once and parses it line by line up to the
+``n,t,re,im`` header. The body of a plain text, one that is ASCII and holds
+no ``"\\x1f"``, then goes to numpy's C reader in one call; it is accepted
+when every row parses and the indices count up from 0. Anything else, such
+as a hand-edited beat with comments, whitespace-only lines or other
+characters in its body, runs on through the per-line loop, which gives the
+same samples and owns every error message.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain, islice, repeat
+import math
+import re
+import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,10 @@ __all__ = [
 _BLOCK_ROWS = 1024
 _CHUNK_CHARS = 1 << 16
 
+# One body row as numpy's C reader parses it.
+_ROW = np.dtype([("n", np.int64), ("t", np.float64), ("re", np.float64), ("im", np.float64)])
+_NON_BLANK = re.compile(r"\S")
+
 # Keys a beat CSV must carry for ``spec_from_meta``; f0 defaults to 0.
 _REQUIRED_BEAT_META = ("kind", "bandwidth", "chirp", "fs")
 
@@ -63,20 +75,33 @@ def spec_meta(spec: WaveformSpec) -> dict:
 
 
 def spec_from_meta(meta: dict, source) -> WaveformSpec:
-    """Rebuild the spec that :func:`spec_meta` recorded in ``source``."""
+    """Rebuild the spec that :func:`spec_meta` recorded in ``source``.
+
+    Raises ConfigError starting with ``source`` and naming the bad key.
+    """
     missing = [key for key in _REQUIRED_BEAT_META if key not in meta]
     if missing:
         raise ConfigError(
             f"{source}: missing metadata {missing}; beat CSVs need "
             f"'# key=value' lines for {list(_REQUIRED_BEAT_META)}"
         )
-    return WaveformSpec(
-        WaveformKind(meta["kind"]),
-        float(meta["bandwidth"]),
-        float(meta["chirp"]),
-        float(meta.get("f0", 0.0)),
-        float(meta["fs"]),
-    )
+    kinds = [kind.value for kind in WaveformKind]
+    if meta["kind"] not in kinds:
+        raise ConfigError(f"{source}: metadata kind={meta['kind']!r} is not one of {kinds}")
+    numbers = []
+    for key in ("bandwidth", "chirp", "f0", "fs"):
+        value = meta.get(key, "0")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{source}: metadata {key}={value!r} is not a finite number")
+        numbers.append(number)
+    try:
+        return WaveformSpec(WaveformKind(meta["kind"]), *numbers)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _write_rows(path, head: str, row_fmt: str, columns) -> None:
@@ -103,41 +128,50 @@ def write_signal_csv(path, samples: np.ndarray, sample_rate_hz: float, meta: dic
     )
 
 
-def _chunks(text: str):
-    """``text`` in pieces of about 64 KiB, each cut just after a ``"\n"``.
+def _chunks(text: str, start: int):
+    """``text`` from ``start`` on, in pieces of about 64 KiB, each cut just after a ``"\n"``.
 
     A ``"\n"`` ends a line wherever it stands and cannot split a ``"\r\n"``,
-    so splitting each piece gives the lines of ``text.splitlines()``.
+    so splitting each piece gives the lines of ``text[start:].splitlines()``.
     """
-    start = 0
     while start < len(text):
         stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
         yield text[start:stop]
         start = stop
 
 
-def _parse_block(lines: list[str], first: int) -> np.ndarray | None:
-    """Parse body rows numbered from ``first`` in one pass; None if any is not plain.
+def _lines(text: str, start: int = 0):
+    """The lines of ``text`` from ``start`` on, split a chunk at a time."""
+    return chain.from_iterable(map(str.splitlines, _chunks(text, start)))
 
-    Succeeds only when every line has exactly four fields, all parse and the
-    indices run on from ``first``; any other block goes to the per-line path,
-    which owns blank lines, comments and the error messages.
+
+def _read_plain_body(text: str, start: int) -> np.ndarray | None:
+    """The samples of the rows after offset ``start`` of a plain text, or None.
+
+    numpy's C reader parses every row in one call. It succeeds only when
+    every non-blank line has four fields that parse as int64 and three
+    floats (``t`` must parse too, though its value is unused), and the
+    indices count up from 0. Any other body is None and goes to the
+    per-line loop, which owns comments, whitespace-only lines and every
+    error message.
     """
-    if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
-        return None
-    fields = ",".join(lines).split(",")
+    if not _NON_BLANK.search(text, start):
+        return None  # no row at all; numpy would warn "input contained no data"
     try:
-        index = list(map(int, fields[0::4]))
-        deque(map(float, fields[1::4]), maxlen=0)  # t must parse; its value is unused
-        re = list(map(float, fields[2::4]))
-        im = list(map(float, fields[3::4]))
-    except ValueError:
+        with warnings.catch_warnings():
+            # From numpy 1.23 until the deprecation expired, an int64 field
+            # such as "3.0" or "1e3" parsed through float with this warning;
+            # int() rejects it.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(_lines(text, start), delimiter=",", comments=None,
+                              dtype=_ROW, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
-    if index != list(range(first, first + len(lines))):
+    if not len(rows) or not np.array_equal(rows["n"], np.arange(len(rows))):
         return None
-    out = np.empty(len(lines), dtype=np.complex128)
-    out.real[:] = re  # slice assignment: faster than the .real setter
-    out.imag[:] = im
+    out = np.empty(len(rows), dtype=np.complex128)
+    out.real = rows["re"]
+    out.imag = rows["im"]
     return out
 
 
@@ -147,65 +181,58 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
     Raises ConfigError naming the file and row on any malformed content.
     """
     path = Path(path)
-    # Split a chunk at a time, so no list of every line is held.
-    lines = chain.from_iterable(map(str.splitlines, _chunks(path.read_text())))
+    text = path.read_text()
+    # numpy gets the lines str.splitlines cuts, so every line break is the
+    # loop's. It strips "\x1f" around a field, where int() and float() reject
+    # it. Outside ASCII the loop alone decides: numpy 2.4's loadtxt has
+    # crashed the interpreter on a field holding U+9C6BC.
+    plain = text.isascii() and "\x1f" not in text
     meta: dict[str, str] = {}
-    blocks: list[np.ndarray] = []
+    values: list[complex] = []
     header = False
-    count = 0
-    lines_read = 0
-    # One line at a time up to the header, then _BLOCK_ROWS lines at a time.
-    while block := list(islice(lines, _BLOCK_ROWS if header else 1)):
-        first = lines_read + 1
-        lines_read += len(block)
-        if header:
-            values = _parse_block(block, count)
-            if values is not None:
-                blocks.append(values)
-                count += len(block)
-                continue
-        values = np.empty(len(block), dtype=np.complex128)
-        rows = 0
-        for lineno, raw in enumerate(block, start=first):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if not header:
-                if line != "n,t,re,im":
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected header 'n,t,re,im', got {line!r}"
-                    )
-                header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                n = int(parts[0])
-                float(parts[1])
-                re = float(parts[2])
-                im = float(parts[3])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if n != count:
+    # Where the next line starts: read_text has turned "\r\n" into "\n", so
+    # every line break is one character.
+    offset = 0
+    for lineno, raw in enumerate(_lines(text), start=1):
+        offset += len(raw) + 1
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+            continue
+        if not header:
+            if line != "n,t,re,im":
                 raise ConfigError(
-                    f"{path}:{lineno}: sample index {n} out of order (expected {count})"
+                    f"{path}:{lineno}: expected header 'n,t,re,im', got {line!r}"
                 )
-            values[rows] = complex(re, im)
-            rows += 1
-            count += 1
-        blocks.append(values[:rows])
+            header = True
+            if plain and (samples := _read_plain_body(text, offset)) is not None:
+                return samples, meta
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ConfigError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            n = int(parts[0])
+            float(parts[1])
+            real = float(parts[2])
+            imag = float(parts[3])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if n != len(values):
+            raise ConfigError(
+                f"{path}:{lineno}: sample index {n} out of order (expected {len(values)})"
+            )
+        values.append(complex(real, imag))
     if not header:
         raise ConfigError(f"{path}:1: missing 'n,t,re,im' header")
-    if not count:
+    if not values:
         raise ConfigError(f"{path}: no sample rows")
-    return np.concatenate(blocks), meta
+    return np.array(values, dtype=np.complex128), meta
 
 
 def write_profile_csv(path, profile: RangeProfile) -> None:

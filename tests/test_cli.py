@@ -241,6 +241,61 @@ def test_profile_of_truncated_beat_names_both_lengths(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "3199" in err and "3200" in err
 
 
+@pytest.fixture(scope="module")
+def four_path_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("four_path")
+    assert run("simulate", "four_path", "--out", str(out)) == 0
+    return out
+
+
+def _drop_last_row(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda text: text.replace("# bandwidth=8000.0\n", "# bandwidth=abc\n"),
+     ["metadata bandwidth='abc'"]),
+    (lambda text: text.replace("# kind=triangle\n", "# kind=bogus\n"), ["metadata kind='bogus'"]),
+    (lambda text: text.replace("# fs=16000.0\n", "# fs=nan\n"), ["metadata fs='nan'"]),
+    (_drop_last_row, ["3199 sample rows", "needs 3200"]),
+], ids=["bandwidth", "kind", "fs", "one_row_short"])
+def test_profile_of_bad_beat_metadata_names_the_file_and_key(
+        tmp_path, capsys, four_path_dir, edit, names):
+    beat = tmp_path / "beat.csv"
+    text = (four_path_dir / "beat_triangle_det.csv").read_text()
+    beat.write_text(edit(text))
+    assert beat.read_text() != text
+    capsys.readouterr()
+    assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: {beat}: ")
+    for name in names:
+        assert name in err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, four_path_dir):
+    from trifmcw import cli as cli_module
+
+    def peak_bins(out):
+        return [int(row.split(",")[0]) for row in read_lines(out / "peaks.csv")[1:]]
+
+    # The four paths lie within 0.2 dB of each other: -0.1 dB lists one of them.
+    beat = str(four_path_dir / "beat_triangle_det.csv")
+    high, default = tmp_path / "high", tmp_path / "default"
+    assert run("profile", beat, "--threshold-db", "-0.1", "--out", str(high)) == 0
+    assert run("profile", beat, "--out", str(default)) == 0
+    assert peak_bins(high) == [57]
+    assert peak_bins(default) == [48, 50, 56, 57]
+
+    one_way, plain = tmp_path / "one_way", tmp_path / "plain"
+    assert run("simulate", "four_path", "--seed", "7", "--one-way", "--out", str(one_way)) == 0
+    assert run("simulate", "four_path", "--out", str(plain)) == 0
+    constants = json.loads((plain / "metrics.json").read_text())["constants"]
+    assert constants["seed"] == 1 and constants["round_trip"] is True
+    assert cli_module._build_parser() is cli_module._build_parser()
+
+
 def _scn(tmp_path, body, name="x.scn"):
     path = tmp_path / name
     path.write_text("bandwidth = 8000\nchirp = 0.1\n" + body)

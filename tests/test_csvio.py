@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,8 @@ def test_read_rejects_empty_file(tmp_path):
 
 
 # --- Equivalence with per-row reference loops. The block writers and the
-# block reader must match them exactly: same bytes, same array bits, same
-# ConfigError text.
+# reader, on its numpy path and its per-line path, must match them exactly:
+# same bytes, same array bits, same ConfigError text.
 
 
 def _reference_write_signal_csv(path, samples, sample_rate_hz, meta):
@@ -355,10 +356,62 @@ def test_read_signal_csv_matches_reference_on_random_files(tmp_path):
 
 def test_read_signal_csv_header_only_and_trailing_comments(tmp_path):
     path = tmp_path / "short.csv"
-    for text in ("n,t,re,im\n", "n,t,re,im\n\n# a=1\n", "# a=1\nn,t,re,im\n0,0,-0.0,-0\n# b=2\n"):
+    texts = ("n,t,re,im\n", "n,t,re,im\n\n# a=1\n", "# a=1\nn,t,re,im\n0,0,-0.0,-0\n# b=2\n",
+             "n,t,re,im\n" + "\n" * 100, "n,t,re,im\n" + " \t\n" * 3)
+    wants = []
+    for text in texts:
         path.write_text(text)
         want = _read_outcome(_reference_read_signal_csv, path)
-        assert _read_outcome(read_signal_csv, path) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's "input contained no data"
+            assert _read_outcome(read_signal_csv, path) == want
+        wants.append(want)
+    assert wants[-2:] == [("error", f"{path}: no sample rows")] * 2
+
+
+def test_read_signal_csv_falls_back_when_numpy_parses_an_index_through_float(
+        tmp_path, monkeypatch):
+    # numpy 1.23 and later releases, until the deprecation expired, read
+    # "1.0" as the int64 1 and only warned.
+    def loadtxt(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([(0, 0.0, 1.0, 0.0), (1, 0.0, 1.0, 0.0)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "float_index.csv"
+    path.write_text("n,t,re,im\n0,0,1,0\n1.0,0,1,0\n")
+    want = _read_outcome(_reference_read_signal_csv, path)
+    assert want[0] == "error" and "1.0" in want[1]
+    assert _read_outcome(read_signal_csv, path) == want
+
+
+# Every ASCII character, NEL, LINE SEPARATOR, two Unicode spaces, a
+# fullwidth and an Arabic-Indic digit: line breaks, whitespace that numpy
+# strips around a field where int() and float() reject it ("\x1f"), and
+# characters that int() and float() accept where numpy does not.
+GUARD_CHARACTERS = [chr(c) for c in range(128)] + [
+    "\x85", "\u2028", "\u00a0", "\u3000", "\uff10", "\u0661"]
+
+
+def test_read_signal_csv_matches_reference_with_any_character_in_a_field(tmp_path):
+    rows = [f"{n},{n / 16000:.6g},{(-1) ** n * (n + 0.5):.17g},{1.25e-300 * n:.17g}"
+            for n in range(14)]
+    head = "# kind=triangle\n# fs=16000\nn,t,re,im\n"
+    fields = rows[12].split(",")
+    files = 0
+    for index, field in enumerate(fields):
+        for at in sorted({0, len(field) // 2, len(field)}):
+            for char in GUARD_CHARACTERS:
+                mutated = list(fields)
+                mutated[index] = field[:at] + char + field[at:]
+                lines = rows[:12] + [",".join(mutated)] + rows[13:]
+                path = tmp_path / f"{files}.csv"  # a new file: rewriting one is slower
+                path.write_text(head + "\n".join(lines) + "\n", newline="")
+                want = _read_outcome(_reference_read_signal_csv, path)
+                assert _read_outcome(read_signal_csv, path) == want, (index, at, repr(char))
+                files += 1
+    assert files == 12 * len(GUARD_CHARACTERS)
 
 
 def _outcome_without_path(read, path):
