@@ -55,8 +55,6 @@ def _segment_edges(spec: WaveformSpec, tau: float) -> tuple[int, int, int]:
 
 def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
     """Beat signal conj(tx[n]) * rx[n] on the transmit grid; no normalization."""
-    if len(tx) != len(rx):
-        raise ValueError(f"length mismatch: tx has {len(tx)}, rx has {len(rx)}")
     if tx.spec != rx.spec:
         raise ValueError(f"spec mismatch: tx {tx.spec}, rx {rx.spec}")
     # In place: one N-sized array instead of conj(tx) plus the product.

@@ -211,7 +211,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
                 )
             header = True
             if plain and (samples := _read_plain_body(text, offset)) is not None:
-                return samples, meta
+                return _finite(path, samples), meta
             continue
         parts = line.split(",")
         if len(parts) != 4:
@@ -232,7 +232,15 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
         raise ConfigError(f"{path}:1: missing 'n,t,re,im' header")
     if not values:
         raise ConfigError(f"{path}: no sample rows")
-    return np.array(values, dtype=np.complex128), meta
+    return _finite(path, np.array(values, dtype=np.complex128)), meta
+
+
+def _finite(path, samples: np.ndarray) -> np.ndarray:
+    """``samples``, or ConfigError naming the first row that holds nan or inf."""
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ConfigError(f"{path}: sample n={bad[0]} is not finite")
+    return samples
 
 
 def write_profile_csv(path, profile: RangeProfile) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 from . import csvio
 from .beat import mix
 from .channel import ChannelModel, ChannelTap, apply_channel, check_seed, rayleigh_taps
-from .errors import ConfigError
 from .scenario import ScenarioConfig, build_channel
 from .spectrum import (
     DEFAULT_THRESHOLD_DB,
@@ -504,38 +503,17 @@ def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentRepor
     return report
 
 
-def _check_triangle_delays(
-    channel: ChannelModel, chirp_s: float, mapping: RangeMapping
-) -> None:
-    """Reject taps outside the triangle beat's validity domain, 0 <= tau < Tc.
-
-    The three-segment beat of the triangle method assumes the echo of the
-    up ramp ends inside the symbol; a longer delay aliases to a wrong range
-    while still passing every check.
-    """
-    for i, tap in enumerate(channel.taps):
-        if tap.delay_s >= chirp_s:
-            formula = "c*Tc/2 round trip" if mapping.round_trip else "c*Tc one way"
-            raise ConfigError(
-                f"tap {i} delay {tap.delay_s:.6g} s (range "
-                f"{mapping.delay_to_range(tap.delay_s):.6g} m) is not below the "
-                f"chirp duration Tc={chirp_s:.6g} s; the triangle method's maximum "
-                f"unambiguous range is {mapping.delay_to_range(chirp_s):.6g} m "
-                f"({formula})"
-            )
-
-
 def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
-    """Run a scenario file: each configured method over the configured taps."""
+    """Run a scenario, as ``scenario.parse_scenario`` checked it, over its taps."""
     mapping = cfg.mapping
     channel = build_channel(cfg)
     report = ExperimentReport(
         scenario=cfg.name,
         constants={
-            "bandwidth_hz": cfg.bandwidth_hz,
-            "chirp_s": cfg.chirp_duration_s,
-            "speed_mps": cfg.speed_mps,
-            "round_trip": cfg.round_trip,
+            "bandwidth_hz": cfg.specs[0].bandwidth_hz,
+            "chirp_s": cfg.specs[0].chirp_duration_s,
+            "speed_mps": mapping.propagation_speed_mps,
+            "round_trip": mapping.round_trip,
             "threshold_db": cfg.threshold_db,
             "seed": cfg.seed,
         },
@@ -543,11 +521,6 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
             mapping.delay_to_range(tap.delay_s) for tap in channel.taps
         ),
     )
-    # Built before the tapless return, so a run without taps checks its grid too.
-    specs = [
-        WaveformSpec(kind, cfg.bandwidth_hz, cfg.chirp_duration_s, 0.0, cfg.sample_rate_hz)
-        for kind in cfg.methods
-    ]
     if len(channel) == 0:
         report.degenerate = True
         report.assertions.append(
@@ -560,9 +533,7 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
             )
         )
         return report
-    if WaveformKind.TRIANGLE in cfg.methods:
-        _check_triangle_delays(channel, cfg.chirp_duration_s, mapping)
-    return _run(report, specs, {"": channel}, mapping, cfg.threshold_db)
+    return _run(report, cfg.specs, {"": channel}, mapping, cfg.threshold_db)
 
 
 BUILTIN_SCENARIOS = {

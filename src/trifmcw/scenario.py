@@ -25,110 +25,136 @@ Each tap names its position exactly one way (``delay_s`` seconds,
 ``delay_p`` delay-grid index p = 2*B*delay, or ``range_m`` meters) and its
 gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
+A file is checked once, where it is parsed. Every tap must lie on each
+method's grid and inside its signal, below Tc for the triangle method, at a
+delay no other tap has. Each error starts with the ``file:line`` that set the
+bad value; a tap is named by its ``[tap]`` line and its place (``tap 0``).
+
 Overrides (the ``trifmcw simulate`` flags) are raw ``key -> value`` strings
-for global keys. Each replaces only its key's file value and passes that
-key's check; its errors name the key (``seed override: ...``), not a line.
+for global keys. Each replaces only its key's file value, and both pass that
+key's check; an override's errors name the key (``seed override: ...``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from .channel import ChannelModel, ChannelTap, check_seed, rayleigh_taps
+from .channel import ChannelModel, ChannelTap, check_seed, delay_in_samples, rayleigh_taps
 from .errors import ConfigError
 from .spectrum import DEFAULT_THRESHOLD_DB, RangeMapping, SPEED_OF_SOUND_MPS
-from .waveform import WaveformKind
+from .waveform import WaveformKind, WaveformSpec
 
-__all__ = ["TapConfig", "ScenarioConfig", "parse_scenario", "build_channel"]
+__all__ = ["ScenarioConfig", "parse_scenario", "build_channel"]
 
 _TAP_POSITION_KEYS = ("delay_s", "delay_p", "range_m")
 
 
 @dataclass
-class TapConfig:
-    delay_s: float | None = None
-    delay_p: float | None = None
-    range_m: float | None = None
-    gain: complex | str = 1.0 + 0.0j  # complex value or the string "rayleigh"
-
-    def resolve_delay(self, bandwidth_hz: float, mapping: RangeMapping) -> float:
-        if self.delay_s is not None:
-            return self.delay_s
-        if self.delay_p is not None:
-            return self.delay_p / (2.0 * bandwidth_hz)
-        return mapping.range_to_delay(self.range_m)
-
-
-@dataclass
 class ScenarioConfig:
+    """A checked scenario; ``taps`` holds ``(delay_s, complex gain or "rayleigh")``."""
+
     name: str
-    bandwidth_hz: float
-    chirp_duration_s: float
-    methods: tuple[WaveformKind, ...] = (WaveformKind.TRIANGLE,)
-    sample_rate_hz: float | None = None
-    speed_mps: float = SPEED_OF_SOUND_MPS
-    round_trip: bool = True
+    specs: tuple[WaveformSpec, ...]
+    mapping: RangeMapping = RangeMapping()
     threshold_db: float = DEFAULT_THRESHOLD_DB
     seed: int = 1
-    taps: list[TapConfig] = field(default_factory=list)
-
-    @property
-    def mapping(self) -> RangeMapping:
-        return RangeMapping(self.speed_mps, self.round_trip)
+    taps: tuple[tuple[float, complex | str], ...] = ()
 
 
-def _parse_bool(value: str, where: str) -> bool:
+def _at(where: str, check, *args):
+    """``check(*args)``, with ``where`` put in front of its error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _number(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _boolean(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_float(value: str, where: str) -> float:
+def _methods(value: str) -> tuple[WaveformKind, ...]:
+    methods: list[WaveformKind] = []
+    for token in value.split(","):
+        token = token.strip().lower()
+        try:
+            kind = WaveformKind(token)
+        except ValueError:
+            known = ", ".join(k.value for k in WaveformKind)
+            raise ValueError(f"unknown method {token!r} (known: {known})") from None
+        if kind in methods:
+            raise ValueError(f"duplicate method {token!r}")
+        methods.append(kind)
+    return tuple(methods)
+
+
+def _threshold(value: str) -> float:
+    threshold = _number(value)
+    if threshold > 0:
+        raise ValueError("threshold_db must be <= 0")
+    return threshold
+
+
+def _seed(value: str) -> int:
     try:
-        number = float(value)
+        seed = int(value)
     except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if not abs(number) < float("inf"):  # false for nan as well as +-inf
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return number
+        raise ValueError("seed must be an integer") from None
+    return check_seed(seed)
+
+
+# key -> (check of a raw value, value when the key is absent); the required
+# keys and the derived fs have None, and the name defaults to the file's stem.
+_GLOBALS = {
+    "name": (str, None),
+    "bandwidth": (_number, None),
+    "chirp": (_number, None),
+    "methods": (_methods, (WaveformKind.TRIANGLE,)),
+    "fs": (_number, None),
+    "speed": (lambda v: RangeMapping(_number(v)).propagation_speed_mps, SPEED_OF_SOUND_MPS),
+    "one_way": (_boolean, False),
+    "threshold_db": (_threshold, DEFAULT_THRESHOLD_DB),
+    "seed": (_seed, 1),
+}
 
 
 def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
-    """Parse a scenario file; errors carry file and line context.
+    """Parse and check a scenario file; every error names the file and line.
 
-    ``overrides`` replace file values as described above; the file must be
-    valid without them too.
+    ``overrides`` replace file values as described above; each file value
+    must pass its key's check too.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    if overrides:
-        parse_scenario(path)
-    # key -> (raw value, "file:line" or "key override" for error messages)
-    globals_: dict[str, tuple[str, str]] = {}
-    taps: list[TapConfig] = []
-    current_tap: dict[str, tuple[str, str]] | None = None
-    tap_lines: list[int] = []
-
-    def finish_tap():
-        nonlocal current_tap
-        if current_tap is None:
-            return
-        taps.append(_build_tap(path, current_tap, tap_lines[-1]))
-        current_tap = None
-
+    # key -> (raw value, "file:line" for error messages)
+    file_globals: dict[str, tuple[str, str]] = {}
+    blocks: list[tuple[str, dict[str, tuple[str, str]]]] = []  # ("file:line", fields)
+    target = file_globals
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[tap]":
-            finish_tap()
-            current_tap = {}
-            tap_lines.append(lineno)
+            target = {}
+            blocks.append((f"{path}:{lineno}", target))
             continue
         if line.startswith("["):
             raise ConfigError(f"{path}:{lineno}: unknown block {line!r}")
@@ -136,85 +162,53 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        target = current_tap if current_tap is not None else globals_
         if key in target:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        target[key] = (value, f"{path}:{lineno}")
-    finish_tap()
-    for key, value in (overrides or {}).items():
-        globals_[key] = (value, f"{key} override")
+        target[key] = (value.strip(), f"{path}:{lineno}")
+    given = [(key, *entry) for key, entry in file_globals.items()]
+    given += [(key, value, f"{key} override") for key, value in (overrides or {}).items()]
 
-    def take(key, default=None):
-        return globals_.pop(key, (default, str(path)))
+    values = {key: default for key, (_, default) in _GLOBALS.items()}
+    values["name"] = path.stem
+    where: dict[str, str] = {}  # key -> "file:line" or "key override" of its value
+    for key, value, at in given:
+        if key not in _GLOBALS:
+            raise ConfigError(f"{at}: unknown key {key!r}")
+        values[key], where[key] = _at(at, _GLOBALS[key][0], value), at
+    for key in ("bandwidth", "chirp"):
+        if values[key] is None:
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
-    name, _ = take("name", path.stem)
-    bandwidth_raw, bw_where = take("bandwidth")
-    chirp_raw, chirp_where = take("chirp")
-    if bandwidth_raw is None:
-        raise ConfigError(f"{path}: missing required key 'bandwidth'")
-    if chirp_raw is None:
-        raise ConfigError(f"{path}: missing required key 'chirp'")
-    bandwidth = _parse_float(bandwidth_raw, bw_where)
-    chirp = _parse_float(chirp_raw, chirp_where)
-
-    methods_raw, methods_where = take("methods", "triangle")
-    methods = []
-    for token in methods_raw.split(","):
-        token = token.strip().lower()
+    def spec(kind: WaveformKind) -> WaveformSpec:
         try:
-            kind = WaveformKind(token)
-        except ValueError:
-            known = ", ".join(k.value for k in WaveformKind)
-            raise ConfigError(
-                f"{methods_where}: unknown method {token!r} (known: {known})"
-            ) from None
-        if kind in methods:
-            raise ConfigError(f"{methods_where}: duplicate method {token!r}")
-        methods.append(kind)
+            return WaveformSpec(kind, values["bandwidth"], values["chirp"], 0.0, values["fs"])
+        except ConfigError as exc:
+            # WaveformSpec's message starts with the field it rejects; with
+            # fs derived from B, a grid ("fs*Tc") error is the chirp's.
+            field = str(exc).split()[0]
+            if field not in ("bandwidth", "chirp"):
+                field = "fs" if values["fs"] is not None else "chirp"
+            raise ConfigError(f"{where[field]}: {exc}") from None
 
-    fs_raw, fs_where = take("fs")
-    fs = _parse_float(fs_raw, fs_where) if fs_raw is not None else None
-    speed_raw, speed_where = take("speed", str(SPEED_OF_SOUND_MPS))
-    speed = _parse_float(speed_raw, speed_where)
-    if speed <= 0:
-        raise ConfigError(f"{speed_where}: speed must be > 0")
-    one_way_raw, one_way_where = take("one_way", "false")
-    one_way = _parse_bool(one_way_raw, one_way_where)
-    thr_raw, thr_where = take("threshold_db", str(DEFAULT_THRESHOLD_DB))
-    threshold = _parse_float(thr_raw, thr_where)
-    if threshold > 0:
-        raise ConfigError(f"{thr_where}: threshold_db must be <= 0")
-    seed_raw, seed_where = take("seed", "1")
-    try:
-        seed = int(seed_raw)
-    except ValueError:
-        raise ConfigError(f"{seed_where}: seed must be an integer") from None
-    try:
-        check_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"{seed_where}: {exc}") from None
-
-    if globals_:
-        key, (_, where) = next(iter(globals_.items()))
-        raise ConfigError(f"{where}: unknown key {key!r}")
-
+    specs = tuple(spec(kind) for kind in values["methods"])
+    mapping = RangeMapping(values["speed"], not values["one_way"])
+    taps: list[tuple[float, complex | str]] = []
+    for i, (at, fields) in enumerate(blocks):
+        delay, gain = _tap(fields, at, values["bandwidth"], mapping)
+        _check_delay(i, delay, at, specs, mapping)
+        for j, (other, _) in enumerate(taps):
+            if other == delay:
+                raise ConfigError(
+                    f"{at}: tap {i} repeats the delay {delay!r} s of tap {j} ({blocks[j][0]})"
+                )
+        taps.append((delay, gain))
     return ScenarioConfig(
-        name=name,
-        bandwidth_hz=bandwidth,
-        chirp_duration_s=chirp,
-        methods=tuple(methods),
-        sample_rate_hz=fs,
-        speed_mps=speed,
-        round_trip=not one_way,
-        threshold_db=threshold,
-        seed=seed,
-        taps=taps,
+        values["name"], specs, mapping, values["threshold_db"], values["seed"], tuple(taps)
     )
 
 
-def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
-    where = f"{path}:{block_line}"
+def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
+    """``(delay_s, gain)`` of the ``[tap]`` block at ``where``."""
     position = [k for k in _TAP_POSITION_KEYS if k in fields]
     if len(position) != 1:
         raise ConfigError(
@@ -222,14 +216,18 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
             f"got {position or 'none'}"
         )
     key = position[0]
-    value_raw, value_where = fields.pop(key)
-    value = _parse_float(value_raw, value_where)
+    value_raw, value_where = fields[key]
+    value = _at(value_where, _number, value_raw)
     if value < 0:
         raise ConfigError(f"{value_where}: {key} must be non-negative")
+    if key == "delay_p":
+        value /= 2.0 * bandwidth_hz
+    elif key == "range_m":
+        value = mapping.range_to_delay(value)
 
     gain: complex | str
     if "gain" in fields:
-        gain_raw, gain_where = fields.pop("gain")
+        gain_raw, gain_where = fields["gain"]
         if gain_raw.lower() != "rayleigh":
             raise ConfigError(
                 f"{gain_where}: gain must be 'rayleigh' "
@@ -239,33 +237,46 @@ def _build_tap(path: Path, fields: dict, block_line: int) -> TapConfig:
             raise ConfigError(f"{where}: gain=rayleigh excludes gain_re/gain_im")
         gain = "rayleigh"
     else:
-        re_raw, re_where = fields.pop("gain_re", ("1", where))
-        im_raw, im_where = fields.pop("gain_im", ("0", where))
-        gain = complex(_parse_float(re_raw, re_where), _parse_float(im_raw, im_where))
+        re_raw, re_where = fields.get("gain_re", ("1", where))
+        im_raw, im_where = fields.get("gain_im", ("0", where))
+        gain = complex(_at(re_where, _number, re_raw), _at(im_where, _number, im_raw))
         if gain == 0:
             raise ConfigError(f"{where}: tap gain must be nonzero")
-    if fields:
-        bad, (_, bad_where) = next(iter(fields.items()))
-        raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
+    for bad, (_, bad_where) in fields.items():
+        if bad not in (key, "gain", "gain_re", "gain_im"):
+            raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
+    return value, gain
 
-    tap = TapConfig(gain=gain)
-    setattr(tap, key, value)
-    return tap
+
+def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> None:
+    """Check the delay of tap ``i``, set at ``where``, against every spec."""
+    for spec in specs:
+        samples = _at(where, delay_in_samples, delay, spec.sample_rate_hz, i)
+        tc = spec.chirp_duration_s
+        if spec.kind is WaveformKind.TRIANGLE and delay >= tc:
+            # The three-segment triangle beat assumes the echo of the up ramp
+            # ends inside the symbol; a longer delay aliases to a wrong range.
+            formula = "c*Tc/2 round trip" if mapping.round_trip else "c*Tc one way"
+            raise ConfigError(
+                f"{where}: tap {i} delay {delay:.6g} s (range "
+                f"{mapping.delay_to_range(delay):.6g} m) is not below the chirp "
+                f"duration Tc={tc:.6g} s; the triangle method's maximum "
+                f"unambiguous range is {mapping.delay_to_range(tc):.6g} m ({formula})"
+            )
+        if samples >= spec.num_samples:
+            raise ConfigError(
+                f"{where}: tap {i} delay {delay!r} s is {samples} samples, beyond "
+                f"the {spec.kind.value} signal length {spec.num_samples}"
+            )
 
 
 def build_channel(cfg: ScenarioConfig) -> ChannelModel:
-    """Materialize the channel: resolve delays and draw any rayleigh gains.
+    """Materialize the channel, drawing any rayleigh gains.
 
     Rayleigh gains come from :func:`rayleigh_taps`: one seeded stream drawn
     over the rayleigh taps in order of increasing delay, so a scenario is
     reproducible from its seed.
     """
-    mapping = cfg.mapping
-    fixed, drawn = [], []
-    for tap in cfg.taps:
-        delay = tap.resolve_delay(cfg.bandwidth_hz, mapping)
-        if tap.gain == "rayleigh":
-            drawn.append(delay)
-        else:
-            fixed.append(ChannelTap(delay, tap.gain))
-    return ChannelModel(tuple(fixed) + rayleigh_taps(drawn, cfg.seed).taps)
+    fixed = tuple(ChannelTap(delay, gain) for delay, gain in cfg.taps if gain != "rayleigh")
+    drawn = [delay for delay, gain in cfg.taps if gain == "rayleigh"]
+    return ChannelModel(fixed + rayleigh_taps(drawn, cfg.seed).taps)

@@ -74,7 +74,7 @@ def test_mix_equals_conj_tx_times_rx_bitwise():
 def test_mix_rejects_mismatched_inputs():
     tx = generate(SPEC)
     short = generate(WaveformSpec(WaveformKind.LINEAR, B, TC))
-    with pytest.raises(ValueError, match="length mismatch"):
+    with pytest.raises(ValueError, match="spec mismatch"):
         mix(tx, short)
 
 

@@ -274,6 +274,52 @@ def test_profile_of_bad_beat_metadata_names_the_file_and_key(
         assert name in err
 
 
+def _set_row_7(text, column, value, comment):
+    """``text`` with field ``column`` of sample row 7 set to ``value``.
+
+    A comment line above the row sends the read to the per-line loop.
+    """
+    lines = text.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line.startswith("7,"))
+    fields = lines[i].rstrip("\n").split(",")
+    fields[column] = value
+    lines[i] = ",".join(fields) + "\n"
+    if comment:
+        lines.insert(i, "# edited\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("comment", [False, True], ids=["numpy", "loop"])
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf")], ids=["re_nan", "im_inf"])
+def test_profile_of_a_non_finite_sample_names_its_row(
+        tmp_path, capsys, four_path_dir, column, value, comment):
+    beat = tmp_path / "beat.csv"
+    text = (four_path_dir / "beat_triangle_det.csv").read_text()
+    beat.write_text(_set_row_7(text, column, value, comment))
+    capsys.readouterr()
+    assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {beat}: sample n=7 is not finite\n"
+
+
+# Under "error" a numpy overflow warning would end the run with a traceback.
+@pytest.mark.filterwarnings("error")
+def test_profile_of_a_beat_too_large_for_its_power_is_one_error_line(
+        tmp_path, capsys, four_path_dir):
+    rows = []
+    for line in (four_path_dir / "beat_triangle_det.csv").read_text().splitlines():
+        if line[0].isdigit():
+            n, t, re, im = line.split(",")
+            line = f"{n},{t},{float(re) * 1e300!r},{float(im) * 1e300!r}"
+        rows.append(line + "\n")
+    beat = tmp_path / "beat.csv"
+    beat.write_text("".join(rows))
+    capsys.readouterr()
+    assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, four_path_dir):
     from trifmcw import cli as cli_module
 
@@ -474,3 +520,22 @@ def test_simulate_scn_too_large_to_allocate_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("out of memory: ")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_scn_tap_too_large_for_its_power_is_one_error_line(tmp_path, capsys):
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\ngain_re = 1e200\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
+    assert not out.exists()
+
+
+def test_fs_flag_puts_an_off_grid_file_tap_on_the_grid(tmp_path, capsys):
+    # p = 10.5 is 10.5 samples at the default 16 kHz and 21 at 32 kHz.
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 10.5\n", "off.scn")
+    assert run("simulate", str(scn), "--out", str(tmp_path / "o16")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {scn}:7: tap 1 delay ")
+    assert run("simulate", str(scn), "--fs", "32000", "--out", str(tmp_path / "o32")) == 0

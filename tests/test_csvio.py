@@ -1,3 +1,4 @@
+import cmath
 import warnings
 from pathlib import Path
 
@@ -138,6 +139,9 @@ def _reference_read_signal_csv(path):
         raise ConfigError(f"{path}:1: missing 'n,t,re,im' header")
     if not values:
         raise ConfigError(f"{path}: no sample rows")
+    for n, value in enumerate(values):
+        if not cmath.isfinite(value):
+            raise ConfigError(f"{path}: sample n={n} is not finite")
     return np.asarray(values, dtype=np.complex128), meta
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from trifmcw import waveform
+from trifmcw import WaveformKind, WaveformSpec, waveform
 from trifmcw.experiments import (
     BUILTIN_SCENARIOS,
     run_four_path,
@@ -14,7 +14,7 @@ from trifmcw.experiments import (
     run_custom,
     write_outputs,
 )
-from trifmcw.scenario import ScenarioConfig, TapConfig, parse_scenario
+from trifmcw.scenario import ScenarioConfig, parse_scenario
 
 
 def method(report, name):
@@ -96,8 +96,11 @@ def test_spacing_sweep_ordering_and_degeneracy():
     assert "triangle" in last[-1]  # flagged degenerate
 
 
+TRIANGLE_SPEC = WaveformSpec(WaveformKind.TRIANGLE, 8000.0, 0.1)
+
+
 def test_custom_scenario_empty_channel_degenerate():
-    cfg = ScenarioConfig(name="empty", bandwidth_hz=8000.0, chirp_duration_s=0.1)
+    cfg = ScenarioConfig(name="empty", specs=(TRIANGLE_SPEC,))
     report = run_custom(cfg)
     assert report.degenerate
     assert report.passed
@@ -105,12 +108,7 @@ def test_custom_scenario_empty_channel_degenerate():
 
 
 def test_custom_scenario_single_tap():
-    cfg = ScenarioConfig(
-        name="one_tap",
-        bandwidth_hz=8000.0,
-        chirp_duration_s=0.1,
-        taps=[TapConfig(delay_p=10.0)],
-    )
+    cfg = ScenarioConfig(name="one_tap", specs=(TRIANGLE_SPEC,), taps=((10 / 16000, 1 + 0j),))
     report = run_custom(cfg)
     assert method(report, "triangle").metrics["peak_bins"] == [10]
 

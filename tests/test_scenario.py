@@ -28,7 +28,7 @@ gain_re = 0.5
 gain_im = -0.25
 
 [tap]
-range_m = 0.25
+range_m = 0.2125
 gain = rayleigh
 """
 
@@ -36,23 +36,21 @@ gain = rayleigh
 def test_parse_basic_scenario(tmp_path):
     cfg = parse_scenario(write_scn(tmp_path, BASIC))
     assert cfg.name == "demo"
-    assert cfg.methods == (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH)
-    assert cfg.speed_mps == 340.0
-    assert cfg.round_trip is False
+    assert [spec.kind for spec in cfg.specs] == [WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH]
+    assert cfg.mapping.propagation_speed_mps == 340.0
+    assert cfg.mapping.round_trip is False
     assert cfg.threshold_db == -9.0
     assert cfg.seed == 11
     assert len(cfg.taps) == 2
-    assert cfg.taps[0].delay_p == 12.0
-    assert cfg.taps[0].gain == 0.5 - 0.25j
-    assert cfg.taps[1].gain == "rayleigh"
+    assert cfg.taps[0][1] == 0.5 - 0.25j
+    assert cfg.taps[1][1] == "rayleigh"
 
 
 def test_tap_delay_forms_resolve(tmp_path):
     cfg = parse_scenario(write_scn(tmp_path, BASIC))
-    mapping = cfg.mapping
     # delay_p: p/(2B); range_m one-way: r/c
-    assert cfg.taps[0].resolve_delay(8000.0, mapping) == pytest.approx(12 / 16000)
-    assert cfg.taps[1].resolve_delay(8000.0, mapping) == pytest.approx(0.25 / 340)
+    assert cfg.taps[0][0] == pytest.approx(12 / 16000)
+    assert cfg.taps[1][0] == pytest.approx(0.2125 / 340)
 
 
 def test_build_channel_is_seed_deterministic(tmp_path):
@@ -60,7 +58,7 @@ def test_build_channel_is_seed_deterministic(tmp_path):
     a = build_channel(parse_scenario(path))
     b = build_channel(parse_scenario(path))
     assert a.taps == b.taps
-    drawn = [t for t in a.taps if cmath.isclose(t.delay_s, 0.25 / 340)]
+    drawn = [t for t in a.taps if cmath.isclose(t.delay_s, 0.2125 / 340)]
     assert len(drawn) == 1 and drawn[0].gain.imag != 0  # rayleigh draw happened
 
 
@@ -169,3 +167,45 @@ def test_non_finite_number_names_the_line(tmp_path, value):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_scenario("/nonexistent/path.scn")
+
+
+def test_old_basic_range_is_off_the_grid_at_parse(tmp_path):
+    # 0.25 m one way at 340 m/s is 11.76 samples at fs = 16 kHz.
+    text = BASIC.replace("range_m = 0.2125", "range_m = 0.25")
+    with pytest.raises(ConfigError, match=r"case.scn:16: tap 1 delay .* off the grid"):
+        parse_scenario(write_scn(tmp_path, text))
+
+
+# Each tap is checked against every method's spec when the file is parsed,
+# and named by its [tap] line and its place in the file.
+@pytest.mark.parametrize(
+    "methods, second_tap, error",
+    [
+        ("triangle", "delay_p = 10.5",
+         r"case.scn:8: tap 1 delay 0.00065625 s is 10.5 samples at fs=16000.0 Hz"),
+        ("triangle", "delay_s = 0.003",
+         r"case.scn:8: tap 1 repeats the delay 0.003 s of tap 0 \(.*case.scn:5\)"),
+        ("sawtooth", "delay_p = 3300",
+         r"case.scn:8: tap 1 delay 0.20625 s is 3300 samples, beyond the sawtooth "
+         r"signal length 3200"),
+        ("sawtooth,triangle", "delay_p = 3000",
+         r"case.scn:8: tap 1 delay 0.1875 s .* not below the chirp duration Tc=0.1 s"),
+    ],
+    ids=["off_grid", "repeated", "past_the_signal", "triangle_past_tc"],
+)
+def test_tap_checks_name_the_tap_line_and_place(tmp_path, methods, second_tap, error):
+    text = (f"bandwidth = 8000\nchirp = 0.1\nmethods = {methods}\n\n"
+            f"[tap]\ndelay_s = 0.003\n\n[tap]\n{second_tap}\n")
+    with pytest.raises(ConfigError, match=error):
+        parse_scenario(write_scn(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "fs_line, overrides, where",
+    [("fs = 16000\n", None, "case.scn:4"), ("", {"fs": "16000"}, "fs override")],
+    ids=["file", "override"],
+)
+def test_fs_below_the_extended_bound_names_where_it_was_set(tmp_path, fs_line, overrides, where):
+    text = "bandwidth = 8000\nchirp = 0.1\nmethods = triangle,extended\n" + fs_line
+    with pytest.raises(ConfigError, match=rf"{where}: fs=16000.0 Hz is below .* extended"):
+        parse_scenario(write_scn(tmp_path, text), overrides)
