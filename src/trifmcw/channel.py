@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridAlignmentError
-from .waveform import ComplexSignal
+from .errors import ConfigError, GridAlignmentError
+from .waveform import ComplexSignal, WaveformSpec
 
 __all__ = ["ChannelTap", "ChannelModel", "apply_channel", "rayleigh_taps"]
 
@@ -50,16 +50,25 @@ class ChannelModel:
         return len(self.taps)
 
 
-def delay_in_samples(delay_s: float, sample_rate_hz: float, tap_index: int = 0) -> int:
-    """Integer sample count for a delay, or GridAlignmentError when off-grid."""
-    d = delay_s * sample_rate_hz
-    if abs(d - round(d)) > 1e-9:
+def delay_in_samples(delay_s: float, spec: WaveformSpec, tap_index: int = 0) -> int:
+    """Offset of a delay in whole samples of ``spec``, or ConfigError off its grid or signal.
+
+    The grid comes first, so an offset that rounds to the signal length fails too.
+    """
+    d = delay_s * spec.sample_rate_hz
+    samples = round(d) if math.isfinite(d) else d  # inf passes the grid, not the length
+    if abs(d - samples) > 1e-9:
         raise GridAlignmentError(
             f"tap {tap_index} delay {delay_s!r} s is {d!r} samples at fs="
-            f"{sample_rate_hz} Hz, {abs(d - round(d)):.3g} samples off the grid; "
+            f"{spec.sample_rate_hz} Hz, {abs(d - samples):.3g} samples off the grid; "
             f"override fs so that delay*fs is an integer"
         )
-    return int(round(d))
+    if not 0 <= samples < spec.num_samples:
+        raise ConfigError(
+            f"tap {tap_index} delay {delay_s!r} s is {samples} samples, beyond "
+            f"the {spec.kind.value} signal length {spec.num_samples}"
+        )
+    return samples
 
 
 def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
@@ -76,12 +85,7 @@ def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
     # into `out` would keep the -0.0 parts that adding to +0.0 clears.
     out = np.zeros(n, dtype=np.complex128)
     for i, tap in enumerate(channel.taps):
-        d = delay_in_samples(tap.delay_s, sig.sample_rate_hz, i)
-        if d >= n:
-            raise ValueError(
-                f"tap {i} delay {tap.delay_s} s is {d} samples, beyond the "
-                f"signal length {n}"
-            )
+        d = delay_in_samples(tap.delay_s, sig.spec, i)
         for a in range(d, n, _BLOCK):
             b = min(a + _BLOCK, n)
             out[a:b] += tap.gain * x[a - d : b - d]

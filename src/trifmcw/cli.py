@@ -193,11 +193,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

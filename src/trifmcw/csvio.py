@@ -4,7 +4,8 @@ Displayed quantities (times, powers, ranges) are written with six
 significant digits using locale-independent formatting. Sample values
 (re/im columns) are written with 17 significant digits so a signal survives
 a write/read cycle bit-for-bit and downstream profiles stay reproducible.
-Metadata rides along as ``# key=value`` comment lines above the header.
+Metadata rides along as ``# key=value`` comment lines above the header;
+below it, a ``#`` line is a plain comment.
 
 Rows are written a block of ``_BLOCK_ROWS`` rows at a time, one ``%``
 format per block. The format is unchanged by this, byte for byte: ``%.6g``
@@ -200,7 +201,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if "=" in body:
+            if not header and "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue

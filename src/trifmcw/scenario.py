@@ -25,10 +25,12 @@ Each tap names its position exactly one way (``delay_s`` seconds,
 ``delay_p`` delay-grid index p = 2*B*delay, or ``range_m`` meters) and its
 gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
-A file is checked once, where it is parsed. Every tap must lie on each
-method's grid and inside its signal, below Tc for the triangle method, at a
-delay no other tap has. Each error starts with the ``file:line`` that set the
-bad value; a tap is named by its ``[tap]`` line and its place (``tap 0``).
+A file is checked once, where it is parsed, by the checks the run path
+itself applies: every tap must lie on each method's grid and inside its
+signal, below Tc for the triangle method, at a delay no other tap has, and a
+fixed gain must leave the profile finite. Each error starts with the
+``file:line`` that set the bad value; a tap is named by its ``[tap]`` line and
+its place (``tap 0``).
 
 Overrides (the ``trifmcw simulate`` flags) are raw ``key -> value`` strings
 for global keys. Each replaces only its key's file value, and both pass that
@@ -43,8 +45,14 @@ from pathlib import Path
 
 from .channel import ChannelModel, ChannelTap, check_seed, delay_in_samples, rayleigh_taps
 from .errors import ConfigError
-from .spectrum import DEFAULT_THRESHOLD_DB, RangeMapping, SPEED_OF_SOUND_MPS
-from .waveform import WaveformKind, WaveformSpec
+from .spectrum import (
+    DEFAULT_THRESHOLD_DB,
+    SPEED_OF_SOUND_MPS,
+    RangeMapping,
+    check_beat_magnitude,
+    check_threshold_db,
+)
+from .waveform import WaveformKind, WaveformSpec, check_positive
 
 __all__ = ["ScenarioConfig", "parse_scenario", "build_channel"]
 
@@ -105,13 +113,6 @@ def _methods(value: str) -> tuple[WaveformKind, ...]:
     return tuple(methods)
 
 
-def _threshold(value: str) -> float:
-    threshold = _number(value)
-    if threshold > 0:
-        raise ValueError("threshold_db must be <= 0")
-    return threshold
-
-
 def _seed(value: str) -> int:
     try:
         seed = int(value)
@@ -124,13 +125,13 @@ def _seed(value: str) -> int:
 # keys and the derived fs have None, and the name defaults to the file's stem.
 _GLOBALS = {
     "name": (str, None),
-    "bandwidth": (_number, None),
-    "chirp": (_number, None),
+    "bandwidth": (lambda v: check_positive("bandwidth", _number(v)), None),
+    "chirp": (lambda v: check_positive("chirp duration", _number(v)), None),
     "methods": (_methods, (WaveformKind.TRIANGLE,)),
     "fs": (_number, None),
     "speed": (lambda v: RangeMapping(_number(v)).propagation_speed_mps, SPEED_OF_SOUND_MPS),
     "one_way": (_boolean, False),
-    "threshold_db": (_threshold, DEFAULT_THRESHOLD_DB),
+    "threshold_db": (lambda v: check_threshold_db(_number(v)), DEFAULT_THRESHOLD_DB),
     "seed": (_seed, 1),
 }
 
@@ -179,22 +180,18 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
         if values[key] is None:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
-    def spec(kind: WaveformKind) -> WaveformSpec:
-        try:
-            return WaveformSpec(kind, values["bandwidth"], values["chirp"], 0.0, values["fs"])
-        except ConfigError as exc:
-            # WaveformSpec's message starts with the field it rejects; with
-            # fs derived from B, a grid ("fs*Tc") error is the chirp's.
-            field = str(exc).split()[0]
-            if field not in ("bandwidth", "chirp"):
-                field = "fs" if values["fs"] is not None else "chirp"
-            raise ConfigError(f"{where[field]}: {exc}") from None
-
-    specs = tuple(spec(kind) for kind in values["methods"])
+    # B and Tc passed their own checks, so a spec error ties them to fs: it is
+    # put on the fs line, or on the chirp line when fs derives from B.
+    spec_at = where["fs" if values["fs"] is not None else "chirp"]
+    specs = tuple(
+        _at(spec_at, WaveformSpec, kind, values["bandwidth"], values["chirp"], 0.0, values["fs"])
+        for kind in values["methods"]
+    )
+    num_samples = max(spec.num_samples for spec in specs)
     mapping = RangeMapping(values["speed"], not values["one_way"])
     taps: list[tuple[float, complex | str]] = []
     for i, (at, fields) in enumerate(blocks):
-        delay, gain = _tap(fields, at, values["bandwidth"], mapping)
+        delay, gain = _tap(fields, at, values["bandwidth"], mapping, num_samples)
         _check_delay(i, delay, at, specs, mapping)
         for j, (other, _) in enumerate(taps):
             if other == delay:
@@ -207,8 +204,12 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     )
 
 
-def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
-    """``(delay_s, gain)`` of the ``[tap]`` block at ``where``."""
+def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping, num_samples: int):
+    """``(delay_s, gain)`` of the ``[tap]`` block at ``where``.
+
+    The waveform has unit amplitude, so a fixed gain bounds the beat samples
+    its tap adds; it must leave the profile of ``num_samples`` of them finite.
+    """
     position = [k for k in _TAP_POSITION_KEYS if k in fields]
     if len(position) != 1:
         raise ConfigError(
@@ -242,6 +243,9 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
         gain = complex(_at(re_where, _number, re_raw), _at(im_where, _number, im_raw))
         if gain == 0:
             raise ConfigError(f"{where}: tap gain must be nonzero")
+        # The larger part names its line; hypot gives inf where abs(gain) raises.
+        larger = re_where if abs(gain.real) >= abs(gain.imag) else im_where
+        _at(larger, check_beat_magnitude, num_samples, math.hypot(gain.real, gain.imag))
     for bad, (_, bad_where) in fields.items():
         if bad not in (key, "gain", "gain_re", "gain_im"):
             raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
@@ -251,7 +255,6 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
 def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> None:
     """Check the delay of tap ``i``, set at ``where``, against every spec."""
     for spec in specs:
-        samples = _at(where, delay_in_samples, delay, spec.sample_rate_hz, i)
         tc = spec.chirp_duration_s
         if spec.kind is WaveformKind.TRIANGLE and delay >= tc:
             # The three-segment triangle beat assumes the echo of the up ramp
@@ -263,11 +266,7 @@ def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping)
                 f"duration Tc={tc:.6g} s; the triangle method's maximum "
                 f"unambiguous range is {mapping.delay_to_range(tc):.6g} m ({formula})"
             )
-        if samples >= spec.num_samples:
-            raise ConfigError(
-                f"{where}: tap {i} delay {delay!r} s is {samples} samples, beyond "
-                f"the {spec.kind.value} signal length {spec.num_samples}"
-            )
+        _at(where, delay_in_samples, delay, spec, i)
 
 
 def build_channel(cfg: ScenarioConfig) -> ChannelModel:

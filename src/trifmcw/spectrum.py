@@ -121,6 +121,21 @@ class PeakSet:
         return tuple(p.bin_p for p in self.peaks)
 
 
+def check_beat_magnitude(num_samples: int, peak: float) -> None:
+    """Raise ValueError unless ``num_samples`` samples up to ``peak`` give a finite profile.
+
+    No bin amplitude exceeds the sum of the sample magnitudes,
+    ``num_samples * peak``; below 2^512 its square is finite, and the FFT
+    cannot overflow on the way. ``peak`` is a Python float, so an overflowing
+    product is a silent inf, which fails the test like nan.
+    """
+    if not num_samples * peak < 2.0**512:
+        raise ValueError(
+            f"beat is too large for a finite profile: {num_samples} samples of magnitude "
+            f"up to {peak:.6g} can sum past 2^512, where a bin power overflows"
+        )
+
+
 def range_profile(
     beat: ComplexSignal, mapping: RangeMapping = RangeMapping()
 ) -> RangeProfile:
@@ -128,22 +143,25 @@ def range_profile(
 
     The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; the
     rest of the full DFT is their Hermitian mirror. A beat whose bin powers
-    would overflow float64 raises ValueError before they are squared.
+    could overflow float64 raises ValueError before the FFT.
     """
     if len(beat) < 2:
         raise ValueError("beat must hold at least two samples")
-    amplitude = np.abs(np.fft.rfft(np.real(beat.samples)))
-    # A square below 2^1024 is finite, and nan fails this test too. Squaring under
-    # np.errstate instead cost about 10 us a call, a tenth of an sntr_sweep run
-    # (2 vCPUs, numpy 2.4).
-    if not amplitude.max() < 2.0**512:
-        raise ValueError("beat is too large for a finite profile: a bin power overflows")
-    power = amplitude**2
+    real = np.real(beat.samples)
+    check_beat_magnitude(len(real), float(np.abs(real).max()))
+    power = np.abs(np.fft.rfft(real)) ** 2
     duration = len(beat) / beat.sample_rate_hz
     spacing = mapping.propagation_speed_mps / (beat.spec.effective_slope * duration)
     if mapping.round_trip:
         spacing *= 0.5
     return RangeProfile(power, spacing)
+
+
+def check_threshold_db(rel_threshold_db: float) -> float:
+    """Return the peak threshold, or raise ValueError unless it is finite and <= 0."""
+    if not -math.inf < rel_threshold_db <= 0:  # nan fails this test too
+        raise ValueError(f"rel_threshold_db must be finite and <= 0, got {rel_threshold_db}")
+    return rel_threshold_db
 
 
 def detect_peaks(
@@ -164,8 +182,7 @@ def detect_peaks(
     single target straddling a bin boundary only drops about 9 dB at the
     flanks. Twins are not themselves visited, so a twin never seeds another.
     """
-    if not -math.inf < rel_threshold_db <= 0:  # nan fails this test too
-        raise ValueError(f"rel_threshold_db must be finite and <= 0, got {rel_threshold_db}")
+    check_threshold_db(rel_threshold_db)
     power = profile.bin_power
     n = power.size
     peak_max = float(power.max())

@@ -22,6 +22,7 @@ sample at ``t = Tc`` belongs to the second half of a two-part waveform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,13 @@ class WaveformKind(str, Enum):
     GENTLE = "gentle"
     EXTENDED = "extended"
     LINEAR = "linear"
+
+
+def check_positive(field: str, value: float) -> float:
+    """Return ``value``, or raise ConfigError naming ``field`` unless it is > 0."""
+    if not value > 0:
+        raise ConfigError(f"{field} must be > 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,14 @@ class WaveformSpec:
             # in type either: an int B writes "bandwidth=8000" into a beat
             # CSV, an equal float B "bandwidth=8000.0".
             object.__setattr__(self, name, float(value))
-        if self.bandwidth_hz <= 0:
-            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
-        if self.chirp_duration_s <= 0:
-            raise ConfigError(f"chirp duration must be > 0, got {self.chirp_duration_s}")
+        check_positive("bandwidth", self.bandwidth_hz)
+        check_positive("chirp duration", self.chirp_duration_s)
+        if not math.pi * self.slope < math.inf:
+            # Synthesis scales t^2 by pi*B/Tc; an inf there turns t = 0 into nan.
+            raise ConfigError(
+                f"chirp rate B/Tc must be below {sys.float_info.max / math.pi:.6g} Hz/s, "
+                f"got {self.slope} (B={self.bandwidth_hz}, Tc={self.chirp_duration_s})"
+            )
         if self.sample_rate_hz is None:
             object.__setattr__(self, "sample_rate_hz", 2.0 * self.swept_bandwidth_hz)
         fs = self.sample_rate_hz

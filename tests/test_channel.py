@@ -85,7 +85,7 @@ def test_off_grid_delay_names_the_tap():
 
 def test_delay_beyond_signal_rejected():
     x = sig_of(np.ones(8))
-    with pytest.raises(ValueError, match="beyond the signal length"):
+    with pytest.raises(ValueError, match="beyond the linear signal length 8"):
         apply_channel(x, ChannelModel((ChannelTap(8 / FS, 1.0),)))
 
 

@@ -306,18 +306,32 @@ def test_profile_of_a_non_finite_sample_names_its_row(
 @pytest.mark.filterwarnings("error")
 def test_profile_of_a_beat_too_large_for_its_power_is_one_error_line(
         tmp_path, capsys, four_path_dir):
-    rows = []
-    for line in (four_path_dir / "beat_triangle_det.csv").read_text().splitlines():
-        if line[0].isdigit():
-            n, t, re, im = line.split(",")
-            line = f"{n},{t},{float(re) * 1e300!r},{float(im) * 1e300!r}"
-        rows.append(line + "\n")
+    # At 1e300 a bin power overflows; at 1e306 the FFT itself would.
+    for scale in (1e300, 1e306):
+        rows = []
+        for line in (four_path_dir / "beat_triangle_det.csv").read_text().splitlines():
+            if line[0].isdigit():
+                n, t, re, im = line.split(",")
+                line = f"{n},{t},{float(re) * scale!r},{float(im) * scale!r}"
+            rows.append(line + "\n")
+        beat = tmp_path / "beat.csv"
+        beat.write_text("".join(rows))
+        capsys.readouterr()
+        assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
+
+
+def test_metadata_below_the_header_is_a_plain_comment(tmp_path, four_path_dir):
+    # Read as metadata, bandwidth=4000 would double every range.
+    lines = (four_path_dir / "beat_triangle_det.csv").read_text().splitlines(keepends=True)
+    lines.insert(99, "# bandwidth=4000\n")
     beat = tmp_path / "beat.csv"
-    beat.write_text("".join(rows))
-    capsys.readouterr()
-    assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
+    beat.write_text("".join(lines))
+    out = tmp_path / "prof"
+    assert run("profile", str(beat), "--out", str(out)) == 0
+    expected = (four_path_dir / "profile_triangle_det.csv").read_bytes()
+    assert (out / "profile.csv").read_bytes() == expected
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, four_path_dir):
@@ -530,6 +544,35 @@ def test_simulate_scn_tap_too_large_for_its_power_is_one_error_line(tmp_path, ca
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
     assert not out.exists()
+
+
+# Each would overflow on the run path: round(inf) in delay_in_samples, the
+# FFT of the beat, and the sum of two taps in apply_channel.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("taps, line", [
+    ("\n[tap]\ndelay_s = 1e305\n", "5: tap 0 delay 1e+305 s is inf samples, beyond"),
+    ("\n[tap]\ndelay_p = 48\ngain_re = 1e306\n", "7: beat is too large"),
+    ("\n[tap]\ndelay_p = 48\ngain_re = 1.7e308\n\n[tap]\ndelay_p = 50\ngain_re = 1.7e308\n",
+     "7: beat is too large"),
+], ids=["delay", "gain", "two_gains"])
+def test_simulate_scn_past_float_range_is_one_error_line(tmp_path, capsys, taps, line):
+    scn = _scn(tmp_path, "methods = sawtooth\n" + taps)
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{scn}:{line}" in err
+    assert not out.exists()
+
+
+# The fs key's own check is "a finite number"; the band edge and the grid
+# apply to the fs the run uses, so --fs repairs a file fs that is too low.
+def test_fs_flag_replaces_a_file_fs_below_the_band_edge(tmp_path, capsys):
+    scn = _scn(tmp_path, "fs = 5\n")
+    assert run("simulate", str(scn), "--fs", "32000", "--out", str(tmp_path / "o32")) == 0
+    capsys.readouterr()
+    assert run("simulate", str(scn), "--out", str(tmp_path / "o5")) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{scn}:3: fs=5.0 Hz is below" in err
 
 
 def test_fs_flag_puts_an_off_grid_file_tap_on_the_grid(tmp_path, capsys):

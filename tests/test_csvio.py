@@ -108,7 +108,7 @@ def _reference_read_signal_csv(path):
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if "=" in body:
+            if not header_seen and "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue

@@ -130,8 +130,9 @@ def test_duplicate_method_reports_line(tmp_path):
         ("gain_re = abc\n", "case.scn:6: expected a number, got 'abc'"),
         ("gain_re = 1\ngain_im = abc\n", "case.scn:7: expected a number, got 'abc'"),
         ("gain_re = 0\ngain_im = 0\n", "case.scn:4: tap gain must be nonzero"),
+        ("gain_re = 1\ngain_im = -1e306\n", "case.scn:7: beat is too large for a finite profile"),
     ],
-    ids=["gain_re", "gain_im", "zero"],
+    ids=["gain_re", "gain_im", "zero", "too_large"],
 )
 def test_gain_errors_name_their_line(tmp_path, lines, error):
     text = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\ndelay_p = 3\n" + lines

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trifmcw import ComplexSignal, ConfigError, WaveformKind, WaveformSpec, generate, spectrogram
 from trifmcw import waveform
+from trifmcw.cli import main
 
 B = 8000.0
 TC = 0.1
@@ -60,6 +61,17 @@ def test_non_finite_spec_field_rejected_by_name(field, value):
     args[field] = value
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         WaveformSpec(WaveformKind.TRIANGLE, **args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_chirp_rate_past_float_range_rejected(tmp_path, capsys):
+    # B/Tc = 1e600 overflows; synthesis would turn it into nan samples.
+    with pytest.raises(ConfigError, match=r"chirp rate B/Tc must be below .* got inf"):
+        WaveformSpec(WaveformKind.TRIANGLE, 1e300, 1e-300)
+    argv = ["waveform", "--bandwidth", "1e300", "--chirp", "1e-300", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "chirp rate" in err
 
 
 def test_fs_below_nyquist_bound_rejected():
