@@ -5,7 +5,7 @@ Subcommands::
     trifmcw waveform --kind triangle --bandwidth 8000 --chirp 0.1 [--fs ...]
     trifmcw simulate four_path [--seed N] [--out DIR]
     trifmcw simulate my_scenario.scn [--out DIR]
-    trifmcw profile beat.csv [--out DIR] [--threshold-db -12]
+    trifmcw profile beat.csv [--out DIR] [--threshold-db -12] [--speed 343] [--one-way]
 
 Exit codes: 0 success (report PASS), 1 usage error, 2 configuration
 invariant violated, an input/output file could not be read or written
@@ -66,10 +66,6 @@ def _build_parser() -> _Parser:
                       help="sample rate in Hz (default 2B, 4B for extended)")
     wave.add_argument("--f0", type=float, default=0.0,
                       help="baseband start frequency in Hz")
-    wave.add_argument("--window-len", type=int, default=None,
-                      help="spectrogram window length in samples (default Nc/16)")
-    wave.add_argument("--hop", type=int, default=None,
-                      help="spectrogram hop in samples (default window length/2)")
     wave.add_argument("--out", default=".", help="output directory")
     wave.set_defaults(func=_cmd_waveform)
 
@@ -83,9 +79,9 @@ def _build_parser() -> _Parser:
                           "it in constants.seed; sntr_sweep and spacing_sweep ignore it "
                           "beyond the range check")
     sim.add_argument("--speed", type=float, default=None,
-                     help="propagation speed in m/s (default 343)")
+                     help="propagation-speed override for custom scenarios, m/s")
     sim.add_argument("--one-way", action="store_true",
-                     help="map range = c*tau instead of c*tau/2")
+                     help="one-way ranging (range = c*tau) for custom scenarios")
     sim.add_argument("--threshold-db", type=float, default=None,
                      help="peak threshold for custom scenarios (dB rel. max)")
     sim.add_argument("--fs", type=float, default=None,
@@ -95,8 +91,10 @@ def _build_parser() -> _Parser:
 
     prof = sub.add_parser("profile", help="range profile and peaks from a beat CSV")
     prof.add_argument("beat_csv", help="beat CSV written by this tool")
-    prof.add_argument("--speed", type=float, default=None)
-    prof.add_argument("--one-way", action="store_true")
+    prof.add_argument("--speed", type=float, default=SPEED_OF_SOUND_MPS,
+                      help="propagation speed in m/s (default 343)")
+    prof.add_argument("--one-way", action="store_true",
+                      help="map range = c*tau instead of c*tau/2")
     prof.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB)
     prof.add_argument("--out", default=".", help="output directory")
     prof.set_defaults(func=_cmd_profile)
@@ -118,12 +116,8 @@ def _cmd_waveform(args) -> int:
     csvio.write_signal_csv(
         out / "waveform.csv", sig.samples, sig.sample_rate_hz, csvio.spec_meta(spec)
     )
-    window_len = args.window_len
-    hop = args.hop
-    if window_len is None:
-        window_len = max(1, spec.samples_per_chirp // 16)
-    if hop is None:
-        hop = max(1, window_len // 2)
+    window_len = max(1, spec.samples_per_chirp // 16)
+    hop = max(1, window_len // 2)
     matrix = spectrogram(sig, window_len, hop)
     csvio.write_spectrogram_csv(
         out / "spectrogram.csv", matrix, sig.sample_rate_hz, hop
@@ -135,22 +129,18 @@ def _cmd_waveform(args) -> int:
     return EXIT_OK
 
 
-def _mapping_from(args) -> RangeMapping:
-    speed = args.speed if args.speed is not None else SPEED_OF_SOUND_MPS
-    return RangeMapping(speed, not args.one_way)
-
-
 def _cmd_simulate(args) -> int:
     if args.scenario in experiments.BUILTIN_SCENARIOS:
-        for flag, value in (("--threshold-db", args.threshold_db), ("--fs", args.fs)):
+        pinned = (("--threshold-db", args.threshold_db), ("--fs", args.fs),
+                  ("--speed", args.speed), ("--one-way", args.one_way or None))
+        for flag, value in pinned:
             if value is not None:
                 raise _UsageError(
                     f"trifmcw simulate: {flag} applies to custom scenarios only; "
                     f"built-in scenarios pin it so their delay grids stay exact"
                 )
         report = experiments.run_named_scenario(
-            args.scenario, seed=args.seed if args.seed is not None else 1,
-            mapping=_mapping_from(args),
+            args.scenario, args.seed if args.seed is not None else 1
         )
     else:
         flags = {"seed": args.seed, "threshold_db": args.threshold_db,
@@ -177,7 +167,7 @@ def _cmd_profile(args) -> int:
             f"metadata sets needs {spec.num_samples}"
         )
     beat = ComplexSignal(samples, spec)
-    profile = range_profile(beat, _mapping_from(args))
+    profile = range_profile(beat, RangeMapping(args.speed, not args.one_way))
     peaks = detect_peaks(profile, args.threshold_db)
     out = _out_dir(args)
     csvio.write_profile_csv(out / "profile.csv", profile)

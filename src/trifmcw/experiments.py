@@ -7,8 +7,10 @@ pipeline; each row, (description, method, check), maps one method's result
 to (passed, measured, bound) and becomes one assertion keyed by the
 acceptance-criterion id it implements. Adding an assertion means adding one
 row. A custom ``.scn`` run goes through the same runner with no rows. The
-two sweeps, which produce tables, keep their own loops. Runners are
-deterministic given a seed; the CLI forwards their reports to disk.
+two sweeps, which produce tables, keep their own loops. A built-in pins its
+whole setup (band, sample rate, range mapping, threshold, sweep size) and
+takes only a seed; runners are deterministic given it, and the CLI forwards
+their reports to disk.
 """
 
 from __future__ import annotations
@@ -52,9 +54,12 @@ __all__ = [
 
 # Desk-scale constants shared by the built-in scenarios: an 8 kHz acoustic
 # sweep, 0.1 s per chirp, propagation at the speed of sound, round-trip
-# ranging. With fs = 2B the delay quantum 1/(2B) is exactly one sample.
+# ranging. With fs = 2B the delay quantum 1/(2B) is exactly one sample. Each
+# built-in's fs puts its echoes on the grid under DESK_MAPPING, so the
+# mapping is fixed; `trifmcw profile` re-maps a written beat instead.
 DESK_BANDWIDTH_HZ = 8_000.0
 DESK_CHIRP_S = 0.1
+DESK_MAPPING = RangeMapping()
 
 FOUR_PATH_BINS = (48, 50, 56, 57)
 
@@ -181,9 +186,7 @@ def _real_clamped_gain(gain: complex, lo: float, hi: float) -> complex:
     return complex(min(max(abs(gain), lo), hi), 0.0)
 
 
-def run_four_path(
-    seed: int = 1, mapping: RangeMapping = RangeMapping()
-) -> ExperimentReport:
+def run_four_path(seed: int = 1) -> ExperimentReport:
     """Four close reflections; only the triangle pipeline resolves them all.
 
     Taps sit on the delay grid at p = 48, 50, 56, 57 (the last two only one
@@ -196,7 +199,7 @@ def run_four_path(
     delays = [p / (2.0 * B) for p in FOUR_PATH_BINS]
     kinds = (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH, WaveformKind.GENTLE)
     specs = [WaveformSpec(kind, B, DESK_CHIRP_S) for kind in kinds]
-    truth = tuple(mapping.delay_to_range(d) for d in delays)
+    truth = tuple(DESK_MAPPING.delay_to_range(d) for d in delays)
     channels = {
         "_det": _unit_channel(delays),
         "_rayleigh": ChannelModel(
@@ -213,8 +216,8 @@ def run_four_path(
             "bandwidth_hz": B,
             "chirp_s": DESK_CHIRP_S,
             "sample_rate_hz": specs[0].sample_rate_hz,
-            "speed_mps": mapping.propagation_speed_mps,
-            "round_trip": mapping.round_trip,
+            "speed_mps": DESK_MAPPING.propagation_speed_mps,
+            "round_trip": DESK_MAPPING.round_trip,
             "seed": seed,
             "true_bins": list(FOUR_PATH_BINS),
         },
@@ -256,29 +259,28 @@ def run_four_path(
              f"{name}_det", merges_close_pair),
         ]
     return _run(
-        report, specs, channels, mapping, DEFAULT_THRESHOLD_DB, "AC-1", rows, dominant
+        report, specs, channels, DESK_MAPPING, DEFAULT_THRESHOLD_DB, "AC-1", rows, dominant
     )
 
 
-def run_sntr_sweep(
-    points: int = 40, mapping: RangeMapping = RangeMapping()
-) -> ExperimentReport:
+SNTR_SWEEP_POINTS = 40
+
+
+def run_sntr_sweep() -> ExperimentReport:
     """Single-path delay sweep recording the transition-noise ratio.
 
-    The delay runs over the integer-p grid from one sample up to 45% of the
-    chirp; each row is an independent single-tap run. The floor and
-    monotonicity checks evaluate the 1%..40% span.
+    The delay runs over SNTR_SWEEP_POINTS points of the integer-p grid from
+    one sample up to 45% of the chirp; each row is an independent single-tap
+    run. The floor and monotonicity checks evaluate the 1%..40% span.
     """
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
     spec = WaveformSpec(WaveformKind.TRIANGLE, DESK_BANDWIDTH_HZ, DESK_CHIRP_S)
     n_c = spec.samples_per_chirp
-    p_values = sorted(set(int(round(p)) for p in np.linspace(1, 0.45 * n_c, points)))
+    p_values = sorted(set(int(round(p)) for p in np.linspace(1, 0.45 * n_c, SNTR_SWEEP_POINTS)))
 
     rows = []
     for p in p_values:
         tau = p / (2.0 * DESK_BANDWIDTH_HZ)
-        _, profile = _pipeline(spec, _unit_channel([tau]), mapping)
+        _, profile = _pipeline(spec, _unit_channel([tau]), DESK_MAPPING)
         rows.append((p / n_c, sntr(profile, p)))
 
     report = ExperimentReport(
@@ -323,9 +325,7 @@ NON_INTEGER_RANGES_M = (0.059, 0.082)
 NON_INTEGER_FS = 171_500.0  # smallest rate putting both echo delays on the grid
 
 
-def run_non_integer(
-    seed: int = 1, mapping: RangeMapping = RangeMapping()
-) -> ExperimentReport:
+def run_non_integer(seed: int = 1) -> ExperimentReport:
     """Two reflections between delay-grid points; off-grid in p, on-grid in fs.
 
     Ranges of 5.9 cm and 8.2 cm correspond to p = 5.50 and p = 7.65: the
@@ -333,7 +333,7 @@ def run_non_integer(
     degrade, but the triangle and extended pipelines must still separate
     the two paths. The conventional single-chirp pipeline must not.
     """
-    delays = [mapping.range_to_delay(r) for r in NON_INTEGER_RANGES_M]
+    delays = [DESK_MAPPING.range_to_delay(r) for r in NON_INTEGER_RANGES_M]
 
     report = ExperimentReport(
         scenario="non_integer",
@@ -341,8 +341,8 @@ def run_non_integer(
             "bandwidth_hz": DESK_BANDWIDTH_HZ,
             "chirp_s": DESK_CHIRP_S,
             "sample_rate_hz": NON_INTEGER_FS,
-            "speed_mps": mapping.propagation_speed_mps,
-            "round_trip": mapping.round_trip,
+            "speed_mps": DESK_MAPPING.propagation_speed_mps,
+            "round_trip": DESK_MAPPING.round_trip,
             "seed": seed,
             "true_p": [2.0 * DESK_BANDWIDTH_HZ * d for d in delays],
         },
@@ -398,7 +398,7 @@ def run_non_integer(
         for kind in kinds
     ]
     return _run(
-        report, specs, {"": _unit_channel(delays)}, mapping, COMPARISON_THRESHOLD_DB,
+        report, specs, {"": _unit_channel(delays)}, DESK_MAPPING, COMPARISON_THRESHOLD_DB,
         "AC-7", rows, range_errors,
     )
 
@@ -406,7 +406,7 @@ def run_non_integer(
 SPACING_FS = 34_300.0  # puts every whole-centimeter round-trip delay on the grid
 
 
-def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentReport:
+def run_spacing_sweep() -> ExperimentReport:
     """Two reflectors closing from 10 cm apart to co-located, 1 cm steps.
 
     One reflector is fixed at 40 cm; the other walks in from 50 cm. Each
@@ -433,7 +433,7 @@ def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentRepor
         for kind in kinds
     ]
     r_fixed = 0.40
-    tau_fixed = mapping.range_to_delay(r_fixed)
+    tau_fixed = DESK_MAPPING.range_to_delay(r_fixed)
     positions = [round(0.50 - 0.01 * i, 4) for i in range(11)]
 
     rows = []
@@ -443,11 +443,11 @@ def run_spacing_sweep(mapping: RangeMapping = RangeMapping()) -> ExperimentRepor
             # Co-located reflectors superpose into one tap of doubled gain.
             channel = ChannelModel((ChannelTap(tau_fixed, 2.0 + 0.0j),))
         else:
-            channel = _unit_channel([tau_fixed, mapping.range_to_delay(r_moving)])
+            channel = _unit_channel([tau_fixed, DESK_MAPPING.range_to_delay(r_moving)])
         row: list = [true_spacing]
         degenerate: list[str] = []
         for spec in specs:
-            beat, profile = _pipeline(spec, channel, mapping)
+            beat, profile = _pipeline(spec, channel, DESK_MAPPING)
             peaks = detect_peaks(profile)
             if len(peaks) >= 2:
                 strongest = sorted(peaks, key=lambda pk: pk.power, reverse=True)[:2]
@@ -536,23 +536,18 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
     return _run(report, cfg.specs, {"": channel}, mapping, cfg.threshold_db)
 
 
-BUILTIN_SCENARIOS = {
+# name -> runner of a seed; the two sweeps draw nothing from it.
+BUILTIN_SCENARIOS: dict[str, Callable[[int], ExperimentReport]] = {
     "four_path": run_four_path,
-    "sntr_sweep": run_sntr_sweep,
+    "sntr_sweep": lambda seed: run_sntr_sweep(),
     "non_integer": run_non_integer,
-    "spacing_sweep": run_spacing_sweep,
+    "spacing_sweep": lambda seed: run_spacing_sweep(),
 }
 
 
-def run_named_scenario(
-    name: str, seed: int = 1, mapping: RangeMapping = RangeMapping()
-):
+def run_named_scenario(name: str, seed: int = 1) -> ExperimentReport:
     """Dispatch a built-in scenario by name; every one rejects a bad seed."""
-    check_seed(seed)
-    runner = BUILTIN_SCENARIOS[name]
-    if name in ("four_path", "non_integer"):
-        return runner(seed=seed, mapping=mapping)
-    return runner(mapping=mapping)
+    return BUILTIN_SCENARIOS[name](check_seed(seed))
 
 
 def write_outputs(report: ExperimentReport, out_dir) -> None:

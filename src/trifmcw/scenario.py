@@ -27,8 +27,8 @@ gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
 A file is checked once, where it is parsed, by the checks the run path
 itself applies: every tap must lie on each method's grid and inside its
-signal, below Tc for the triangle method, at a delay no other tap has, and a
-fixed gain must leave the profile finite. Each error starts with the
+signal, below Tc for the triangle method, at a delay no other tap has, and the
+fixed gains together must leave the profile finite. Each error starts with the
 ``file:line`` that set the bad value; a tap is named by its ``[tap]`` line and
 its place (``tap 0``).
 
@@ -52,7 +52,7 @@ from .spectrum import (
     check_beat_magnitude,
     check_threshold_db,
 )
-from .waveform import WaveformKind, WaveformSpec, check_positive
+from .waveform import WaveformKind, WaveformSpec, check_chirp_rate, check_positive
 
 __all__ = ["ScenarioConfig", "parse_scenario", "build_channel"]
 
@@ -180,8 +180,9 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
         if values[key] is None:
             raise ConfigError(f"{path}: missing required key {key!r}")
 
-    # B and Tc passed their own checks, so a spec error ties them to fs: it is
-    # put on the fs line, or on the chirp line when fs derives from B.
+    # B, Tc and their rate passed their own checks, so a spec error ties them
+    # to fs: it is put on the fs line, or on the chirp line when fs derives from B.
+    _at(where["chirp"], check_chirp_rate, values["bandwidth"], values["chirp"])
     spec_at = where["fs" if values["fs"] is not None else "chirp"]
     specs = tuple(
         _at(spec_at, WaveformSpec, kind, values["bandwidth"], values["chirp"], 0.0, values["fs"])
@@ -190,8 +191,16 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     num_samples = max(spec.num_samples for spec in specs)
     mapping = RangeMapping(values["speed"], not values["one_way"])
     taps: list[tuple[float, complex | str]] = []
+    # The waveform has unit amplitude, so no beat sample exceeds the sum of
+    # the gains' magnitudes. A Rayleigh draw is at most sqrt(53 ln 2) < 6.1,
+    # which cannot move a float sum near the bound: the fixed gains decide.
+    fixed_sum = 0.0
     for i, (at, fields) in enumerate(blocks):
-        delay, gain = _tap(fields, at, values["bandwidth"], mapping, num_samples)
+        delay, gain, gain_at = _tap(fields, at, values["bandwidth"], mapping)
+        if gain != "rayleigh":
+            # hypot gives inf where abs(gain) raises.
+            fixed_sum += math.hypot(gain.real, gain.imag)
+            _at(gain_at, check_beat_magnitude, num_samples, fixed_sum)
         _check_delay(i, delay, at, specs, mapping)
         for j, (other, _) in enumerate(taps):
             if other == delay:
@@ -204,11 +213,10 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     )
 
 
-def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping, num_samples: int):
-    """``(delay_s, gain)`` of the ``[tap]`` block at ``where``.
+def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
+    """``(delay_s, gain, gain_at)`` of the ``[tap]`` block at ``where``.
 
-    The waveform has unit amplitude, so a fixed gain bounds the beat samples
-    its tap adds; it must leave the profile of ``num_samples`` of them finite.
+    ``gain_at`` is the line of a fixed gain's larger part, which names the gain.
     """
     position = [k for k in _TAP_POSITION_KEYS if k in fields]
     if len(position) != 1:
@@ -227,6 +235,7 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping, n
         value = mapping.range_to_delay(value)
 
     gain: complex | str
+    gain_at = where
     if "gain" in fields:
         gain_raw, gain_where = fields["gain"]
         if gain_raw.lower() != "rayleigh":
@@ -243,13 +252,11 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping, n
         gain = complex(_at(re_where, _number, re_raw), _at(im_where, _number, im_raw))
         if gain == 0:
             raise ConfigError(f"{where}: tap gain must be nonzero")
-        # The larger part names its line; hypot gives inf where abs(gain) raises.
-        larger = re_where if abs(gain.real) >= abs(gain.imag) else im_where
-        _at(larger, check_beat_magnitude, num_samples, math.hypot(gain.real, gain.imag))
+        gain_at = re_where if abs(gain.real) >= abs(gain.imag) else im_where
     for bad, (_, bad_where) in fields.items():
         if bad not in (key, "gain", "gain_re", "gain_im"):
             raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
-    return value, gain
+    return value, gain, gain_at
 
 
 def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> None:

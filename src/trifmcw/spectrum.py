@@ -165,9 +165,7 @@ def check_threshold_db(rel_threshold_db: float) -> float:
 
 
 def detect_peaks(
-    profile: RangeProfile,
-    rel_threshold_db: float = DEFAULT_THRESHOLD_DB,
-    twin_outer_db: float = DEFAULT_TWIN_OUTER_DB,
+    profile: RangeProfile, rel_threshold_db: float = DEFAULT_THRESHOLD_DB
 ) -> PeakSet:
     """Find profile peaks above a threshold relative to the strongest bin.
 
@@ -176,11 +174,12 @@ def detect_peaks(
     their single neighbor; ties are never peaks), found in one vectorized
     pass. A twin pass then visits only the neighbors of those maxima: a bin
     adjacent to a local maximum counts as a peak of its own when both bins
-    flanking the pair sit below ``max(pair) * 10^(twin_outer_db/10)``. Two
-    targets on consecutive exact bins leave the flanking bins near the
-    leakage floor (measured 20 dB or more down), whereas the skirt of a
-    single target straddling a bin boundary only drops about 9 dB at the
-    flanks. Twins are not themselves visited, so a twin never seeds another.
+    flanking the pair sit below ``max(pair) * 10^(DEFAULT_TWIN_OUTER_DB/10)``,
+    14 dB down. Two targets on consecutive exact bins leave the flanking bins
+    near the leakage floor (measured 20 dB or more down), whereas the skirt
+    of a single target straddling a bin boundary only drops about 9 dB at
+    the flanks. Twins are not themselves visited, and could seed no twin
+    anyway: their local maximum would flank the pair and outweigh both bins.
     """
     check_threshold_db(rel_threshold_db)
     power = profile.bin_power
@@ -197,7 +196,7 @@ def detect_peaks(
     maxima = np.flatnonzero(local_max).tolist()
 
     found = set(maxima)
-    twin_floor_scale = 10.0 ** (twin_outer_db / 10.0)
+    twin_floor_scale = 10.0 ** (DEFAULT_TWIN_OUTER_DB / 10.0)
     for i in maxima:
         for j in (i - 1, i + 1):
             if j < 0 or j >= n or j in found or not candidate[j]:

@@ -57,6 +57,16 @@ def check_positive(field: str, value: float) -> float:
     return value
 
 
+def check_chirp_rate(bandwidth_hz: float, chirp_duration_s: float) -> None:
+    """Raise ConfigError unless pi*B/Tc, by which synthesis scales t^2, is finite."""
+    rate = bandwidth_hz / chirp_duration_s
+    if not math.pi * rate < math.inf:  # an inf there turns t = 0 into nan
+        raise ConfigError(
+            f"chirp rate B/Tc must be below {sys.float_info.max / math.pi:.6g} Hz/s, "
+            f"got {rate} (B={bandwidth_hz}, Tc={chirp_duration_s})"
+        )
+
+
 @dataclass(frozen=True)
 class WaveformSpec:
     """Parameters of one FMCW waveform.
@@ -93,12 +103,7 @@ class WaveformSpec:
             object.__setattr__(self, name, float(value))
         check_positive("bandwidth", self.bandwidth_hz)
         check_positive("chirp duration", self.chirp_duration_s)
-        if not math.pi * self.slope < math.inf:
-            # Synthesis scales t^2 by pi*B/Tc; an inf there turns t = 0 into nan.
-            raise ConfigError(
-                f"chirp rate B/Tc must be below {sys.float_info.max / math.pi:.6g} Hz/s, "
-                f"got {self.slope} (B={self.bandwidth_hz}, Tc={self.chirp_duration_s})"
-            )
+        check_chirp_rate(self.bandwidth_hz, self.chirp_duration_s)
         if self.sample_rate_hz is None:
             object.__setattr__(self, "sample_rate_hz", 2.0 * self.swept_bandwidth_hz)
         fs = self.sample_rate_hz

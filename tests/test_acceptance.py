@@ -121,7 +121,7 @@ def test_ac4_energy_dominance_and_peak_value():
 
 
 def test_ac5_sntr_floor_and_monotonicity():
-    report = run_sntr_sweep(points=40)
+    report = run_sntr_sweep()
     _, rows = report.tables["sntr_sweep"]
     window = [(x, s) for x, s in rows if 0.01 <= x <= 0.40]
     floor = min(s for _, s in window)

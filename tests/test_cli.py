@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -155,6 +156,27 @@ def test_simulate_builtin_rejects_fs_override(capsys):
     assert "custom scenarios only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--speed", "340"], ["--one-way"]], ids=["speed", "one_way"])
+@pytest.mark.parametrize("scenario", ["four_path", "sntr_sweep", "non_integer", "spacing_sweep"])
+def test_simulate_builtin_rejects_range_mapping_flags(tmp_path, capsys, scenario, flags):
+    out = tmp_path / "out"
+    assert run("simulate", scenario, *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{flags[0]} applies to custom scenarios only" in err
+    assert not out.exists()
+
+
+def test_profile_remaps_a_builtin_beat(tmp_path, four_path_dir):
+    # The digest is of `simulate four_path --speed 340 --one-way`'s
+    # profile_triangle_det.csv, from before built-ins pinned their mapping.
+    out = tmp_path / "out"
+    beat = four_path_dir / "beat_triangle_det.csv"
+    assert run("profile", str(beat), "--speed", "340", "--one-way", "--out", str(out)) == 0
+    digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
+    assert digest == "201ea6a075b853ac4fe07eb1639d1ab7923b40ece7448baa4e9ce248a92b976e"
+
+
 def test_simulate_failing_report_exits_three(tmp_path, monkeypatch):
     from trifmcw import cli as cli_module
     from trifmcw.experiments import AssertionResult, ExperimentReport
@@ -213,8 +235,8 @@ def test_one_way_flag_keeps_the_files_speed(tmp_path):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["simulate", "four_path", "--speed", "nan"], "propagation speed"),
-        (["simulate", "four_path", "--speed", "inf"], "propagation speed"),
+        (["profile", "<beat>", "--speed", "nan"], "propagation speed"),
+        (["profile", "<beat>", "--speed", "inf"], "propagation speed"),
         (["waveform", "--bandwidth", "inf", "--chirp", "0.1"], "bandwidth_hz"),
         (["waveform", "--bandwidth", "8000", "--chirp", "nan"], "chirp_duration_s"),
         (["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--f0", "nan"],
@@ -223,7 +245,9 @@ def test_one_way_flag_keeps_the_files_speed(tmp_path):
          "sample_rate_hz"),
     ],
 )
-def test_non_finite_flag_exits_two_naming_it(tmp_path, capsys, argv, names):
+def test_non_finite_flag_exits_two_naming_it(tmp_path, capsys, four_path_dir, argv, names):
+    beat = str(four_path_dir / "beat_triangle_det.csv")
+    argv = [beat if arg == "<beat>" else arg for arg in argv]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -349,10 +373,16 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, four_path_dir):
     assert peak_bins(default) == [48, 50, 56, 57]
 
     one_way, plain = tmp_path / "one_way", tmp_path / "plain"
-    assert run("simulate", "four_path", "--seed", "7", "--one-way", "--out", str(one_way)) == 0
-    assert run("simulate", "four_path", "--out", str(plain)) == 0
-    constants = json.loads((plain / "metrics.json").read_text())["constants"]
-    assert constants["seed"] == 1 and constants["round_trip"] is True
+    assert run("profile", beat, "--one-way", "--out", str(one_way)) == 0
+    assert run("profile", beat, "--out", str(plain)) == 0
+    assert read_lines(one_way / "profile.csv")[2].split(",")[1] == "0.0214375"
+    expected = (four_path_dir / "profile_triangle_det.csv").read_bytes()
+    assert (plain / "profile.csv").read_bytes() == expected
+
+    seeded, unseeded = tmp_path / "seeded", tmp_path / "unseeded"
+    assert run("simulate", "four_path", "--seed", "7", "--out", str(seeded)) == 0
+    assert run("simulate", "four_path", "--out", str(unseeded)) == 0
+    assert json.loads((unseeded / "metrics.json").read_text())["constants"]["seed"] == 1
     assert cli_module._build_parser() is cli_module._build_parser()
 
 
@@ -554,7 +584,10 @@ def test_simulate_scn_tap_too_large_for_its_power_is_one_error_line(tmp_path, ca
     ("\n[tap]\ndelay_p = 48\ngain_re = 1e306\n", "7: beat is too large"),
     ("\n[tap]\ndelay_p = 48\ngain_re = 1.7e308\n\n[tap]\ndelay_p = 50\ngain_re = 1.7e308\n",
      "7: beat is too large"),
-], ids=["delay", "gain", "two_gains"])
+    # Each 1e150 passes alone; at N = 3200 the fifth takes the sum past 2^512.
+    ("".join(f"\n[tap]\ndelay_p = {40 + 2 * k}\ngain_re = 1e150\n" for k in range(8)),
+     "23: beat is too large"),
+], ids=["delay", "gain", "two_gains", "eight_gains"])
 def test_simulate_scn_past_float_range_is_one_error_line(tmp_path, capsys, taps, line):
     scn = _scn(tmp_path, "methods = sawtooth\n" + taps)
     out = tmp_path / "out"

@@ -46,18 +46,14 @@ def test_four_path_alt_processing_placeholder_present():
 
 
 def test_sntr_sweep_table_and_assertions():
-    report = run_sntr_sweep(points=30)
+    report = run_sntr_sweep()
     header, rows = report.tables["sntr_sweep"]
     assert header == ("tau_over_tc", "sntr_db")
+    assert len(rows) == report.constants["points"] == 40
     assert rows[0][0] <= 0.001  # starts at one delay sample
     assert rows[-1][0] == pytest.approx(0.45, abs=0.01)
     assert all(s >= -7.4 for x, s in rows if 0.01 <= x <= 0.40)
     assert report.passed
-
-
-def test_sntr_sweep_validates_points():
-    with pytest.raises(ValueError, match="points"):
-        run_sntr_sweep(points=1)
 
 
 def test_non_integer_report():

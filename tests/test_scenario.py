@@ -140,6 +140,26 @@ def test_gain_errors_name_their_line(tmp_path, lines, error):
         parse_scenario(write_scn(tmp_path, text))
 
 
+def test_fixed_gains_are_bounded_by_their_sum(tmp_path):
+    # Each 1e150 passes alone; at N = 3200 the fifth takes the sum past 2^512
+    # and its gain_re line (22) is named. Rayleigh taps do not count.
+    taps = "".join(f"\n[tap]\ndelay_p = {40 + 2 * k}\ngain_re = 1e150\n" for k in range(8))
+    with pytest.raises(ConfigError, match=r"case.scn:22: beat is too large .* up to 5e\+150"):
+        parse_scenario(write_scn(tmp_path, "bandwidth = 8000\nchirp = 0.1\n" + taps))
+    rayleigh = "".join(f"\n[tap]\ndelay_p = {60 + k}\ngain = rayleigh\n" for k in range(8))
+    text = "bandwidth = 8000\nchirp = 0.1\n" + taps[: len(taps) // 2] + rayleigh
+    assert len(parse_scenario(write_scn(tmp_path, text)).taps) == 12
+
+
+# fs takes no part in B/Tc, so wherever it is set the chirp line is named.
+@pytest.mark.parametrize("fs_line, overrides", [("fs = 4e300\n", None), ("", {"fs": "4e300"})],
+                         ids=["file", "override"])
+def test_chirp_rate_error_names_the_chirp_line(tmp_path, fs_line, overrides):
+    text = "bandwidth = 1e300\nchirp = 1e-300\n" + fs_line
+    with pytest.raises(ConfigError, match=r"case.scn:2: chirp rate B/Tc must be below"):
+        parse_scenario(write_scn(tmp_path, text), overrides)
+
+
 def test_tap_needs_exactly_one_position(tmp_path):
     text = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\ndelay_p = 3\nrange_m = 0.5\n"
     with pytest.raises(ConfigError, match="exactly one of"):

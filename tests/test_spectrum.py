@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -299,7 +297,7 @@ def test_range_profile_matches_full_spectrum_half(spec, ps):
     np.testing.assert_allclose(profile.bin_power, expected, rtol=1e-9, atol=0)
 
 
-def _reference_detect_peaks(profile, rel_threshold_db=-12.0, twin_outer_db=-14.0):
+def _reference_detect_peaks(profile, rel_threshold_db=-12.0):
     """The original bin-by-bin loop that detect_peaks must reproduce exactly."""
     power = profile.bin_power
     n = power.size
@@ -320,7 +318,7 @@ def _reference_detect_peaks(profile, rel_threshold_db=-12.0, twin_outer_db=-14.0
         if left_ok and right_ok:
             found.add(i)
 
-    twin_floor_scale = 10.0 ** (twin_outer_db / 10.0)
+    twin_floor_scale = 10.0 ** (-14.0 / 10.0)
     for i in sorted(found):
         for j in (i - 1, i + 1):
             if j < 0 or j >= n or j in found or not is_candidate(j):
@@ -426,12 +424,10 @@ def test_detect_peaks_matches_reference_loop(family):
     for _ in range(100):
         power = make(rng)
         profile = RangeProfile(power, 0.01)
-        # A positive twin_outer_db lets a twin pass the flank test of its
-        # own neighbor, which shows that twins never seed further twins.
-        for threshold_db, twin_db in itertools.product((-3.0, -12.0, -40.0), (-14.0, 6.0)):
-            got = detect_peaks(profile, threshold_db, twin_db)
-            want = _reference_detect_peaks(profile, threshold_db, twin_db)
-            assert got == want, (power.tolist(), threshold_db, twin_db)
+        for threshold_db in (-3.0, -12.0, -40.0):
+            got = detect_peaks(profile, threshold_db)
+            want = _reference_detect_peaks(profile, threshold_db)
+            assert got == want, (power.tolist(), threshold_db)
             assert all(type(b) is int for b in got.bins)
             for b in want.bins:
                 left = b == 0 or power[b - 1] < power[b]
