@@ -2,7 +2,7 @@
 phase-consistency check for the triangle waveform.
 
 Mixing the received signal against the conjugate transmit produces, for a
-triangle waveform and a single path delay tau (f0 = 0), three segments:
+triangle waveform and a single path delay tau, three segments:
 
     (tau,      Tc]      exp(j*pi*(-2*a*tau*t + a*tau^2))
     (Tc,       Tc+tau]  exp(j*pi*(2*a*t^2 - (4B + 2*a*tau)*t + a*tau^2 + 2*B*Tc))
@@ -63,13 +63,9 @@ def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(beat, tx.spec)
 
 
-def _check_triangle_oracle_args(spec, tau, require_f0_zero=True):
+def _check_triangle_oracle_args(spec, tau):
     if spec.kind is not WaveformKind.TRIANGLE:
         raise ValueError(f"oracle requires a triangle spec, got {spec.kind.value}")
-    if require_f0_zero and spec.start_freq_hz != 0.0:
-        raise ValueError(
-            "the closed-form beat is only stated for start frequency 0"
-        )
     if not 0.0 <= tau < spec.chirp_duration_s:
         raise ValueError(
             f"tau must satisfy 0 <= tau < Tc={spec.chirp_duration_s}, got {tau}"
@@ -126,7 +122,7 @@ def phase_consistency(spec: WaveformSpec, tau: float) -> PhaseConsistency:
     line up when the two are negatives of each other, i.e. when the wrapped
     sum is zero -- which happens exactly at tau = p/(2B) with integer p.
     """
-    _check_triangle_oracle_args(spec, tau, require_f0_zero=False)
+    _check_triangle_oracle_args(spec, tau)
     a = spec.slope
     B = spec.bandwidth_hz
     phi_seg3 = _wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau))

@@ -64,8 +64,6 @@ def _build_parser() -> _Parser:
                       help="single-chirp duration Tc in seconds")
     wave.add_argument("--fs", type=float, default=None,
                       help="sample rate in Hz (default 2B, 4B for extended)")
-    wave.add_argument("--f0", type=float, default=0.0,
-                      help="baseband start frequency in Hz")
     wave.add_argument("--out", default=".", help="output directory")
     wave.set_defaults(func=_cmd_waveform)
 
@@ -108,9 +106,8 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_waveform(args) -> int:
-    spec = WaveformSpec(
-        WaveformKind(args.kind), args.bandwidth, args.chirp, args.f0, args.fs
-    )
+    spec = WaveformSpec(WaveformKind(args.kind), args.bandwidth, args.chirp,
+                        sample_rate_hz=args.fs)
     sig = generate(spec)
     out = _out_dir(args)
     csvio.write_signal_csv(

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .spectrum import PeakSet, RangeProfile
 from .waveform import WaveformKind, WaveformSpec
 
@@ -55,7 +55,7 @@ _CHUNK_CHARS = 1 << 16
 _ROW = np.dtype([("n", np.int64), ("t", np.float64), ("re", np.float64), ("im", np.float64)])
 _NON_BLANK = re.compile(r"\S")
 
-# Keys a beat CSV must carry for ``spec_from_meta``; f0 defaults to 0.
+# Keys a beat CSV must carry for ``spec_from_meta``; f0 may be absent, else it must be 0.
 _REQUIRED_BEAT_META = ("kind", "bandwidth", "chirp", "fs")
 
 
@@ -70,7 +70,7 @@ def spec_meta(spec: WaveformSpec) -> dict:
         "kind": spec.kind.value,
         "bandwidth": spec.bandwidth_hz,
         "chirp": spec.chirp_duration_s,
-        "f0": spec.start_freq_hz,
+        "f0": 0.0,  # every sweep starts at 0 Hz; the line keeps the file format
         "fs": spec.sample_rate_hz,
     }
 
@@ -99,8 +99,11 @@ def spec_from_meta(meta: dict, source) -> WaveformSpec:
         if not math.isfinite(number):
             raise ConfigError(f"{source}: metadata {key}={value!r} is not a finite number")
         numbers.append(number)
+    bandwidth, chirp, f0, fs = numbers
+    if f0 != 0.0:
+        raise ConfigError(f"{source}: metadata f0={meta['f0']!r} is not 0; sweeps start at 0 Hz")
     try:
-        return WaveformSpec(WaveformKind(meta["kind"]), *numbers)
+        return WaveformSpec(WaveformKind(meta["kind"]), bandwidth, chirp, sample_rate_hz=fs)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -182,7 +185,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
     Raises ConfigError naming the file and row on any malformed content.
     """
     path = Path(path)
-    text = path.read_text()
+    text = read_utf8(path)
     # numpy gets the lines str.splitlines cuts, so every line break is the
     # loop's. It strips "\x1f" around a field, where int() and float() reject
     # it. Outside ASCII the loop alone decides: numpy 2.4's loadtxt has
@@ -191,7 +194,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
     meta: dict[str, str] = {}
     values: list[complex] = []
     header = False
-    # Where the next line starts: read_text has turned "\r\n" into "\n", so
+    # Where the next line starts: read_utf8 has turned "\r\n" into "\n", so
     # every line break is one character.
     offset = 0
     for lineno, raw in enumerate(_lines(text), start=1):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-text reader."""
+
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -7,3 +9,12 @@ class ConfigError(ValueError):
 
 class GridAlignmentError(ConfigError):
     """A channel tap delay does not land on the sample grid."""
+
+
+def read_utf8(path: Path) -> str:
+    """The text of ``path``, or ConfigError naming the line of a byte that is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object is the whole file: one decode call
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc})") from None

@@ -394,7 +394,7 @@ def run_non_integer(seed: int = 1) -> ExperimentReport:
     )
     kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
     specs = [
-        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, NON_INTEGER_FS)
+        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, sample_rate_hz=NON_INTEGER_FS)
         for kind in kinds
     ]
     return _run(
@@ -429,7 +429,7 @@ def run_spacing_sweep() -> ExperimentReport:
         WaveformKind.EXTENDED,
     )
     specs = [
-        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, 0.0, SPACING_FS)
+        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, sample_rate_hz=SPACING_FS)
         for kind in kinds
     ]
     r_fixed = 0.40

@@ -27,7 +27,7 @@ gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
 A file is checked once, where it is parsed, by the checks the run path
 itself applies: every tap must lie on each method's grid and inside its
-signal, below Tc for the triangle method, at a delay no other tap has, and the
+signal, below Tc for the triangle method, on a sample of its own, and the
 fixed gains together must leave the profile finite. Each error starts with the
 ``file:line`` that set the bad value; a tap is named by its ``[tap]`` line and
 its place (``tap 0``).
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import ChannelModel, ChannelTap, check_seed, delay_in_samples, rayleigh_taps
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .spectrum import (
     DEFAULT_THRESHOLD_DB,
     SPEED_OF_SOUND_MPS,
@@ -71,10 +71,10 @@ class ScenarioConfig:
     taps: tuple[tuple[float, complex | str], ...] = ()
 
 
-def _at(where: str, check, *args):
-    """``check(*args)``, with ``where`` put in front of its error."""
+def _at(where: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with ``where`` put in front of its error."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -149,7 +149,7 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     file_globals: dict[str, tuple[str, str]] = {}
     blocks: list[tuple[str, dict[str, tuple[str, str]]]] = []  # ("file:line", fields)
     target = file_globals
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -185,12 +185,13 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
     _at(where["chirp"], check_chirp_rate, values["bandwidth"], values["chirp"])
     spec_at = where["fs" if values["fs"] is not None else "chirp"]
     specs = tuple(
-        _at(spec_at, WaveformSpec, kind, values["bandwidth"], values["chirp"], 0.0, values["fs"])
+        _at(spec_at, WaveformSpec, kind, values["bandwidth"], values["chirp"],
+            sample_rate_hz=values["fs"])
         for kind in values["methods"]
     )
     num_samples = max(spec.num_samples for spec in specs)
     mapping = RangeMapping(values["speed"], not values["one_way"])
-    taps: list[tuple[float, complex | str]] = []
+    taps: dict[int, tuple[float, complex | str]] = {}  # by offset, see _check_delay
     # The waveform has unit amplitude, so no beat sample exceeds the sum of
     # the gains' magnitudes. A Rayleigh draw is at most sqrt(53 ln 2) < 6.1,
     # which cannot move a float sum near the bound: the fixed gains decide.
@@ -201,15 +202,17 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
             # hypot gives inf where abs(gain) raises.
             fixed_sum += math.hypot(gain.real, gain.imag)
             _at(gain_at, check_beat_magnitude, num_samples, fixed_sum)
-        _check_delay(i, delay, at, specs, mapping)
-        for j, (other, _) in enumerate(taps):
-            if other == delay:
-                raise ConfigError(
-                    f"{at}: tap {i} repeats the delay {delay!r} s of tap {j} ({blocks[j][0]})"
-                )
-        taps.append((delay, gain))
+        offset = _check_delay(i, delay, at, specs, mapping)
+        if offset in taps:
+            j = list(taps).index(offset)
+            raise ConfigError(
+                f"{at}: tap {i} repeats the delay {taps[offset][0]!r} s of tap {j} "
+                f"({blocks[j][0]}), both on sample {offset}"
+            )
+        taps[offset] = (delay, gain)
     return ScenarioConfig(
-        values["name"], specs, mapping, values["threshold_db"], values["seed"], tuple(taps)
+        values["name"], specs, mapping, values["threshold_db"], values["seed"],
+        tuple(taps.values())
     )
 
 
@@ -259,8 +262,12 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
     return value, gain, gain_at
 
 
-def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> None:
-    """Check the delay of tap ``i``, set at ``where``, against every spec."""
+def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> int:
+    """Check the delay of tap ``i``, set at ``where``, against every spec.
+
+    Returns its offset on the grid of ``specs[0]``: delays on every grid that
+    share an offset on one grid share it on all.
+    """
     for spec in specs:
         tc = spec.chirp_duration_s
         if spec.kind is WaveformKind.TRIANGLE and delay >= tc:
@@ -274,6 +281,7 @@ def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping)
                 f"unambiguous range is {mapping.delay_to_range(tc):.6g} m ({formula})"
             )
         _at(where, delay_in_samples, delay, spec, i)
+    return delay_in_samples(delay, specs[0])
 
 
 def build_channel(cfg: ScenarioConfig) -> ChannelModel:

@@ -4,9 +4,9 @@ Five waveform variants are supported, all with unit amplitude:
 
 * ``TRIANGLE`` -- an up-chirp of slope ``alpha = B/Tc`` followed by its
   phase-continuous mirrored down-chirp, spanning one symbol ``Ts = 2*Tc``.
-  The down ramp sweeps the instantaneous frequency from ``f0 + B`` back to
-  ``f0``; it equals the conjugated time-reverse of the up ramp up to a
-  constant phase.
+  The down ramp sweeps the instantaneous frequency from ``B`` back to 0;
+  it equals the conjugated time-reverse of the up ramp up to a constant
+  phase.
 * ``SAWTOOTH`` -- two identical up-chirps of slope ``alpha`` back to back
   over ``Ts``; the second chirp restarts at phase zero.
 * ``GENTLE``   -- a single up-chirp of slope ``alpha/2`` over ``Ts``
@@ -75,7 +75,6 @@ class WaveformSpec:
         kind: waveform variant
         bandwidth_hz: swept bandwidth B of a single chirp, Hz
         chirp_duration_s: single-chirp duration Tc, seconds
-        start_freq_hz: baseband start frequency f0, Hz
         sample_rate_hz: fs; defaults to twice the swept bandwidth, 2B (4B for
             EXTENDED), so delay grids ``p/(2B)`` fall on whole samples
     """
@@ -83,15 +82,12 @@ class WaveformSpec:
     kind: WaveformKind
     bandwidth_hz: float
     chirp_duration_s: float
-    start_freq_hz: float = 0.0
     sample_rate_hz: float | None = None
 
     def __post_init__(self):
         kind = WaveformKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        for name in (
-            "bandwidth_hz", "chirp_duration_s", "start_freq_hz", "sample_rate_hz"
-        ):
+        for name in ("bandwidth_hz", "chirp_duration_s", "sample_rate_hz"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -107,14 +103,12 @@ class WaveformSpec:
         if self.sample_rate_hz is None:
             object.__setattr__(self, "sample_rate_hz", 2.0 * self.swept_bandwidth_hz)
         fs = self.sample_rate_hz
-        f0 = self.start_freq_hz
-        edge = max(abs(f0), abs(f0 + self.swept_bandwidth_hz))
-        min_fs = 2.0 * edge
+        min_fs = 2.0 * self.swept_bandwidth_hz
         if fs < min_fs * (1.0 - _GRID_TOL):
             raise ConfigError(
                 f"fs={fs} Hz is below the complex-baseband bound {min_fs} Hz "
-                f"(2x the band edge |f|={edge} Hz of a {kind.value} waveform "
-                f"sweeping from f0={f0} Hz); below it the sweep wraps around"
+                f"(2x the {self.swept_bandwidth_hz} Hz swept by a {kind.value} "
+                f"waveform); below it the sweep wraps around"
             )
         n = fs * self.chirp_duration_s
         if not 1.0 - _GRID_TOL <= n < math.inf:
@@ -193,36 +187,6 @@ class ComplexSignal:
         return self.samples.size
 
 
-def _triangle_phase(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
-    """Phase of the triangle waveform; `t` holds local time and is overwritten.
-
-    Up ramp:   pi*alpha*t^2 + 2*pi*f0*t
-    Down ramp: phase is continued from the up ramp's value at Tc and the
-    instantaneous frequency mirrors from f0+B back down to f0:
-
-        phi(t) = phi_up(Tc) + 2*pi*(f0+B)*(t-Tc) - pi*alpha*(t-Tc)^2
-
-    The second half of `t` arrives as ``t - Tc``. Both halves are written
-    into one array in place, each product with the operand order of the
-    formulas above, so no full-length temporary is made.
-    """
-    a = spec.slope
-    f0 = spec.start_freq_hz
-    B = spec.bandwidth_hz
-    tc = spec.chirp_duration_s
-    nc = spec.samples_per_chirp
-    phase = np.square(t)
-    phase *= np.pi * a
-    t_up, t_down = t[:nc], t[nc:]
-    t_up *= 2.0 * np.pi * f0
-    phase[:nc] += t_up
-    phi_tc = np.pi * a * tc**2 + 2.0 * np.pi * f0 * tc
-    t_down *= 2.0 * np.pi * (f0 + B)
-    t_down += phi_tc
-    np.subtract(t_down, phase[nc:], out=phase[nc:])
-    return phase
-
-
 # Bytes of samples generate() keeps. One waveform takes 51 KB at desk scale
 # (N = 3,200) and 3 MB at N = 192,000. The four built-in scenarios use 10
 # specs, 2.0 MB in all; a two-method .scn run at N = 192,000 uses 6.1 MB.
@@ -259,13 +223,17 @@ def _synthesize(spec: WaveformSpec) -> np.ndarray:
         # The second chirp runs on local time: the sawtooth restarts at phase
         # zero, the triangle's down ramp continues from the up ramp's end.
         t[spec.samples_per_chirp:] -= spec.chirp_duration_s
+    phase = np.square(t)
+    phase *= np.pi * spec.effective_slope
     if spec.kind is WaveformKind.TRIANGLE:
-        phase = _triangle_phase(spec, t)
-    else:
-        phase = np.square(t)
-        phase *= np.pi * spec.effective_slope
-        t *= 2.0 * np.pi * spec.start_freq_hz
-        phase += t
+        # The down ramp continues from the up ramp's phase at Tc, and its
+        # frequency mirrors from B back to 0. In place, on t - Tc:
+        #   phi = pi*alpha*Tc^2 + 2*pi*B*(t-Tc) - pi*alpha*(t-Tc)^2
+        nc = spec.samples_per_chirp
+        t_down = t[nc:]
+        t_down *= 2.0 * np.pi * spec.bandwidth_hz
+        t_down += np.pi * spec.slope * spec.chirp_duration_s**2
+        np.subtract(t_down, phase[nc:], out=phase[nc:])
     # cos and sin written straight into one complex array give the bits of
     # np.exp(1j * phase) without its complex temporaries.
     samples = np.empty(spec.num_samples, dtype=np.complex128)

@@ -250,14 +250,31 @@ def test_wrap_to_pi_half_open_interval():
     assert _wrap_to_pi(-0.1 - 2 * np.pi) == pytest.approx(-0.1)
 
 
-def test_oracle_requires_triangle_and_zero_f0():
+@pytest.mark.parametrize("f0, p", [(500.0, 48), (1234.0, 300)])
+def test_start_frequency_is_a_tap_gain_rotation(f0, p):
+    # A sweep from f0 rather than 0 Hz turns the beat of a path at delay tau
+    # by exp(-j*2*pi*f0*tau) and changes nothing else, so a complex tap gain
+    # already expresses it and a waveform needs no start frequency.
+    spec = WaveformSpec(WaveformKind.TRIANGLE, B, TC, sample_rate_hz=32_000.0)
+    a = spec.slope
+    n = np.arange(spec.num_samples)
+    t = n / spec.sample_rate_hz
+    td = t - TC
+    up = np.pi * a * t**2 + 2 * np.pi * f0 * t
+    down = (np.pi * a * TC**2 + 2 * np.pi * f0 * TC
+            + 2 * np.pi * (f0 + B) * td - np.pi * a * td**2)
+    tx = np.exp(1j * np.where(n < spec.samples_per_chirp, up, down))
+    tau = tap_of(p)
+    shift = round(tau * spec.sample_rate_hz)
+    rx = np.zeros_like(tx)
+    rx[shift:] = tx[:-shift]
+    rotated = mixed_beat(spec, tau, np.exp(-2j * np.pi * f0 * tau))
+    assert np.max(np.abs(np.conj(tx) * rx - rotated.samples)) < 1e-9
+
+
+def test_oracle_requires_triangle_and_tau_below_tc():
     lin = WaveformSpec(WaveformKind.LINEAR, B, TC)
     with pytest.raises(ValueError, match="triangle"):
         analytic_beat(lin, tap_of(4))
-    shifted = WaveformSpec(
-        WaveformKind.TRIANGLE, B, TC, start_freq_hz=100.0, sample_rate_hz=4 * B
-    )
-    with pytest.raises(ValueError, match="start frequency"):
-        analytic_beat(shifted, tap_of(4))
     with pytest.raises(ValueError, match="tau"):
         analytic_beat(SPEC, TC)

@@ -239,8 +239,6 @@ def test_one_way_flag_keeps_the_files_speed(tmp_path):
         (["profile", "<beat>", "--speed", "inf"], "propagation speed"),
         (["waveform", "--bandwidth", "inf", "--chirp", "0.1"], "bandwidth_hz"),
         (["waveform", "--bandwidth", "8000", "--chirp", "nan"], "chirp_duration_s"),
-        (["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--f0", "nan"],
-         "start_freq_hz"),
         (["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--fs", "inf"],
          "sample_rate_hz"),
     ],
@@ -282,7 +280,9 @@ def _drop_last_row(text):
     (lambda text: text.replace("# kind=triangle\n", "# kind=bogus\n"), ["metadata kind='bogus'"]),
     (lambda text: text.replace("# fs=16000.0\n", "# fs=nan\n"), ["metadata fs='nan'"]),
     (_drop_last_row, ["3199 sample rows", "needs 3200"]),
-], ids=["bandwidth", "kind", "fs", "one_row_short"])
+    (lambda text: text.replace("# f0=0.0\n", "# f0=500\n"), ["metadata f0='500' is not 0"]),
+    (lambda text: text.replace("# f0=0.0\n", "# f0=abc\n"), ["metadata f0='abc'"]),
+], ids=["bandwidth", "kind", "fs", "one_row_short", "f0_nonzero", "f0_abc"])
 def test_profile_of_bad_beat_metadata_names_the_file_and_key(
         tmp_path, capsys, four_path_dir, edit, names):
     beat = tmp_path / "beat.csv"
@@ -296,6 +296,17 @@ def test_profile_of_bad_beat_metadata_names_the_file_and_key(
     assert err.startswith(f"configuration error: {beat}: ")
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("line", ["", "# f0=0\n", "# f0=-0.0\n"], ids=["missing", "0", "-0.0"])
+def test_profile_accepts_a_missing_or_zero_f0(tmp_path, four_path_dir, line):
+    beat = tmp_path / "beat.csv"
+    text = (four_path_dir / "beat_triangle_det.csv").read_text()
+    beat.write_text(text.replace("# f0=0.0\n", line))
+    out = tmp_path / "prof"
+    assert run("profile", str(beat), "--out", str(out)) == 0
+    expected = (four_path_dir / "profile_triangle_det.csv").read_bytes()
+    assert (out / "profile.csv").read_bytes() == expected
 
 
 def _set_row_7(text, column, value, comment):
@@ -434,16 +445,6 @@ def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, flags, limit):
 def test_triangle_tap_just_inside_tc_still_runs(tmp_path):
     scn = _scn(tmp_path, "\n[tap]\ndelay_p = 1599\n")
     assert run("simulate", str(scn), "--out", str(tmp_path / "out")) == 0
-
-
-def test_waveform_start_frequency_past_the_band_edge_exits_two(tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = ["waveform", "--bandwidth", "8000", "--chirp", "0.1", "--f0", "500"]
-    assert run(*argv, "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "band edge" in err and "17000" in err
-    assert not out.exists()
-    assert run(*argv, "--fs", "17000", "--out", str(out)) == 0
 
 
 def test_profile_rejects_a_non_numeric_time_column(tmp_path, capsys):

@@ -49,6 +49,16 @@ def test_read_rejects_missing_header(tmp_path):
         read_signal_csv(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_read_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # Far into the file, past any buffer of the text reader.
+    lines = ["# fs=1", "n,t,re,im"] + [f"{n},0,1,0" for n in range(4000)]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join(lines).encode() + newline.encode() + b"\xff\n")
+    with pytest.raises(ConfigError, match=r"bad.csv:4003: not UTF-8 text .* 0xff"):
+        read_signal_csv(path)
+
+
 def test_read_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -206,13 +206,18 @@ def test_old_basic_range_is_off_the_grid_at_parse(tmp_path):
          r"case.scn:8: tap 1 delay 0.00065625 s is 10.5 samples at fs=16000.0 Hz"),
         ("triangle", "delay_s = 0.003",
          r"case.scn:8: tap 1 repeats the delay 0.003 s of tap 0 \(.*case.scn:5\)"),
+        # 0.00300000000001 s passes the grid check on sample 48 (96 at 4B) and
+        # would be summed into tap 0's echo there.
+        ("triangle,extended", "delay_s = 0.00300000000001",
+         r"case.scn:8: tap 1 repeats the delay 0.003 s of tap 0 \(.*case.scn:5\), "
+         r"both on sample 48$"),
         ("sawtooth", "delay_p = 3300",
          r"case.scn:8: tap 1 delay 0.20625 s is 3300 samples, beyond the sawtooth "
          r"signal length 3200"),
         ("sawtooth,triangle", "delay_p = 3000",
          r"case.scn:8: tap 1 delay 0.1875 s .* not below the chirp duration Tc=0.1 s"),
     ],
-    ids=["off_grid", "repeated", "past_the_signal", "triangle_past_tc"],
+    ids=["off_grid", "repeated", "same_sample", "past_the_signal", "triangle_past_tc"],
 )
 def test_tap_checks_name_the_tap_line_and_place(tmp_path, methods, second_tap, error):
     text = (f"bandwidth = 8000\nchirp = 0.1\nmethods = {methods}\n\n"
@@ -230,3 +235,10 @@ def test_fs_below_the_extended_bound_names_where_it_was_set(tmp_path, fs_line, o
     text = "bandwidth = 8000\nchirp = 0.1\nmethods = triangle,extended\n" + fs_line
     with pytest.raises(ConfigError, match=rf"{where}: fs=16000.0 Hz is below .* extended"):
         parse_scenario(write_scn(tmp_path, text), overrides)
+
+
+def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path):
+    path = tmp_path / "case.scn"
+    path.write_bytes(b"bandwidth = 8000\nchirp = 0.1\nname = caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"case.scn:3: not UTF-8 text .* 0xe9"):
+        parse_scenario(path)

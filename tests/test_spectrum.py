@@ -283,7 +283,7 @@ def test_range_profile_rejects_single_sample_beat():
         (WaveformSpec(WaveformKind.LINEAR, B, TC), [9, 31]),
         (WaveformSpec(WaveformKind.EXTENDED, B, TC), [12, 70]),
         # fs*Tc = 1601 samples: an odd-length beat has no Nyquist bin
-        (WaveformSpec(WaveformKind.LINEAR, B, TC, 0.0, 16_010.0), [5, 23]),
+        (WaveformSpec(WaveformKind.LINEAR, B, TC, sample_rate_hz=16_010.0), [5, 23]),
     ],
     ids=["triangle", "sawtooth", "gentle", "linear", "extended", "linear_odd"],
 )

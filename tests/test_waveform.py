@@ -52,12 +52,10 @@ def test_grid_below_one_sample_per_chirp_rejected():
         WaveformSpec(WaveformKind.LINEAR, 1e-3, 1e-7)
 
 
-@pytest.mark.parametrize(
-    "field", ["bandwidth_hz", "chirp_duration_s", "start_freq_hz", "sample_rate_hz"]
-)
+@pytest.mark.parametrize("field", ["bandwidth_hz", "chirp_duration_s", "sample_rate_hz"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_spec_field_rejected_by_name(field, value):
-    args = dict(bandwidth_hz=B, chirp_duration_s=TC, start_freq_hz=0.0, sample_rate_hz=FS)
+    args = dict(bandwidth_hz=B, chirp_duration_s=TC, sample_rate_hz=FS)
     args[field] = value
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         WaveformSpec(WaveformKind.TRIANGLE, **args)
@@ -80,21 +78,6 @@ def test_fs_below_nyquist_bound_rejected():
     # extended sweeps 2B, so it needs 4B
     with pytest.raises(ConfigError, match="below the complex-baseband bound"):
         WaveformSpec(WaveformKind.EXTENDED, B, TC, sample_rate_hz=2 * B)
-
-
-def test_band_edge_bound_counts_the_start_frequency():
-    # f0 + B = 8,500 Hz needs fs >= 17 kHz; the default 2B would wrap it.
-    with pytest.raises(ConfigError, match="band edge"):
-        WaveformSpec(WaveformKind.TRIANGLE, B, TC, start_freq_hz=500.0)
-    assert WaveformSpec(
-        WaveformKind.TRIANGLE, B, TC, start_freq_hz=500.0, sample_rate_hz=17000.0
-    ).samples_per_chirp == 1700
-    # A sweep from -B/2 to B/2 reaches only B/2 Hz, so fs = B suffices.
-    WaveformSpec(WaveformKind.TRIANGLE, B, TC, start_freq_hz=-B / 2, sample_rate_hz=B)
-    with pytest.raises(ConfigError, match="band edge"):
-        WaveformSpec(
-            WaveformKind.EXTENDED, B, TC, start_freq_hz=-B / 2, sample_rate_hz=2 * B
-        )
 
 
 def test_triangle_first_sample_is_one():
@@ -141,16 +124,6 @@ def test_phase_continuity_at_ramp_junction():
         up_limit = np.pi * spec.slope * tc**2
         diff = np.angle(sig.samples[nc] * np.exp(-1j * up_limit))
         assert abs(diff) < 1e-6
-
-
-def test_phase_continuity_with_start_frequency():
-    spec = WaveformSpec(
-        WaveformKind.TRIANGLE, B, TC, start_freq_hz=500.0, sample_rate_hz=32000.0
-    )
-    sig = generate(spec)
-    nc = spec.samples_per_chirp
-    up_limit = np.pi * spec.slope * TC**2 + 2 * np.pi * 500.0 * TC
-    assert abs(np.angle(sig.samples[nc] * np.exp(-1j * up_limit))) < 1e-6
 
 
 def test_conjugate_mirror_property():
@@ -249,38 +222,34 @@ def _exp_reference_phase(spec):
     n = np.arange(spec.num_samples)
     t = n / spec.sample_rate_hz
     a = spec.effective_slope
-    f0 = spec.start_freq_hz
     if spec.kind is WaveformKind.TRIANGLE:
         tc = spec.chirp_duration_s
-        up = np.pi * a * t**2 + 2.0 * np.pi * f0 * t
-        phi_tc = np.pi * a * tc**2 + 2.0 * np.pi * f0 * tc
+        up = np.pi * a * t**2
         td = t - tc
-        dn = phi_tc + 2.0 * np.pi * (f0 + spec.bandwidth_hz) * td - np.pi * a * td**2
+        dn = np.pi * a * tc**2 + 2.0 * np.pi * spec.bandwidth_hz * td - np.pi * a * td**2
         return np.where(n >= spec.samples_per_chirp, dn, up)
     if spec.kind is WaveformKind.SAWTOOTH:
         t = np.where(n < spec.samples_per_chirp, t, t - spec.chirp_duration_s)
-    return np.pi * a * t**2 + 2.0 * np.pi * f0 * t
+    return np.pi * a * t**2
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(list(WaveformKind)),
     bandwidth=st.sampled_from([500.0, 8000.0, 48000.0]),
-    f0_of=st.sampled_from(["zero", "500 Hz", "-B/2"]),
     fs_over_b=st.sampled_from([2.0, 3.0, 4.0, 10.72]),
     nc=st.integers(min_value=1, max_value=50_000),
 )
-@example(WaveformKind.TRIANGLE, 48000.0, "zero", 2.0, 48_000)
-@example(WaveformKind.TRIANGLE, 48000.0, "500 Hz", 10.72, 20_000)
-@example(WaveformKind.SAWTOOTH, 8000.0, "-B/2", 2.0, 20_000)
-@example(WaveformKind.GENTLE, 8000.0, "500 Hz", 3.0, 20_000)
-@example(WaveformKind.EXTENDED, 48000.0, "-B/2", 3.0, 20_000)
-@example(WaveformKind.LINEAR, 500.0, "zero", 10.72, 40_000)
-def test_generate_equals_exp_of_the_phase_bitwise(kind, bandwidth, f0_of, fs_over_b, nc):
-    f0 = {"zero": 0.0, "500 Hz": 500.0, "-B/2": -bandwidth / 2}[f0_of]
+@example(WaveformKind.TRIANGLE, 48000.0, 2.0, 48_000)
+@example(WaveformKind.TRIANGLE, 48000.0, 10.72, 20_000)
+@example(WaveformKind.SAWTOOTH, 8000.0, 2.0, 20_000)
+@example(WaveformKind.GENTLE, 8000.0, 3.0, 20_000)
+@example(WaveformKind.EXTENDED, 48000.0, 4.0, 20_000)
+@example(WaveformKind.LINEAR, 500.0, 10.72, 40_000)
+def test_generate_equals_exp_of_the_phase_bitwise(kind, bandwidth, fs_over_b, nc):
     fs = fs_over_b * bandwidth
     try:
-        spec = WaveformSpec(kind, bandwidth, nc / fs, f0, fs)
+        spec = WaveformSpec(kind, bandwidth, nc / fs, sample_rate_hz=fs)
     except ConfigError:
         assume(False)  # fs below this sweep's band edge
     got = generate(spec).samples
@@ -297,7 +266,7 @@ def cold_cache(monkeypatch):
 
 def test_cached_waveform_equals_a_fresh_synthesis_bitwise(cold_cache):
     for kind in WaveformKind:
-        spec = WaveformSpec(kind, B, TC, 500.0, 40_000.0)
+        spec = WaveformSpec(kind, B, TC, sample_rate_hz=40_000.0)
         first = generate(spec)
         assert generate(spec) is first
         cold_cache.clear()
@@ -322,7 +291,7 @@ def test_generated_samples_are_read_only(cold_cache, monkeypatch):
 
 def test_equal_specs_share_one_cache_entry(cold_cache):
     sig = generate(WaveformSpec(WaveformKind.TRIANGLE, 8000, 0.1))
-    same = WaveformSpec(WaveformKind.TRIANGLE, 8000.0, 0.1, 0.0, 16_000.0)
+    same = WaveformSpec(WaveformKind.TRIANGLE, 8000.0, 0.1, sample_rate_hz=16_000.0)
     assert generate(same) is sig
     assert repr(sig.spec) == repr(same)  # an int B is held as the float it equals
     assert list(cold_cache) == [same]
