@@ -4,8 +4,10 @@ Subcommands::
 
     trifmcw waveform --kind triangle --bandwidth 8000 --chirp 0.1 [--fs ...]
     trifmcw simulate four_path [--seed N] [--out DIR]
-    trifmcw simulate my_scenario.scn [--out DIR]
+    trifmcw simulate my_scenario.scn [--seed N] [--out DIR]
     trifmcw profile beat.csv [--out DIR] [--threshold-db -12] [--speed 343] [--one-way]
+
+A ``.scn`` file pins its whole setup; ``--seed`` replaces its ``seed``.
 
 Exit codes: 0 success (report PASS), 1 usage error, 2 configuration
 invariant violated, an input/output file could not be read or written
@@ -21,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import csvio, experiments
+from .channel import check_seed
 from .errors import ConfigError
 from .scenario import parse_scenario
 from .spectrum import (
@@ -72,18 +75,10 @@ def _build_parser() -> _Parser:
                      help="four_path | sntr_sweep | non_integer | spacing_sweep "
                           "| path to a .scn file")
     sim.add_argument("--seed", type=int, default=None,
-                     help="random-gain seed in [0, 2^64); only four_path "
-                          "and .scn files draw gains from it. non_integer only records "
-                          "it in constants.seed; sntr_sweep and spacing_sweep ignore it "
-                          "beyond the range check")
-    sim.add_argument("--speed", type=float, default=None,
-                     help="propagation-speed override for custom scenarios, m/s")
-    sim.add_argument("--one-way", action="store_true",
-                     help="one-way ranging (range = c*tau) for custom scenarios")
-    sim.add_argument("--threshold-db", type=float, default=None,
-                     help="peak threshold for custom scenarios (dB rel. max)")
-    sim.add_argument("--fs", type=float, default=None,
-                     help="sample-rate override for custom scenarios, Hz")
+                     help="random-gain seed in [0, 2^64), replacing a .scn file's "
+                          "seed; only four_path and .scn files draw gains from it. "
+                          "non_integer only records it in constants.seed; sntr_sweep "
+                          "and spacing_sweep ignore it beyond the range check")
     sim.add_argument("--out", default=".", help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -128,24 +123,14 @@ def _cmd_waveform(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.scenario in experiments.BUILTIN_SCENARIOS:
-        pinned = (("--threshold-db", args.threshold_db), ("--fs", args.fs),
-                  ("--speed", args.speed), ("--one-way", args.one_way or None))
-        for flag, value in pinned:
-            if value is not None:
-                raise _UsageError(
-                    f"trifmcw simulate: {flag} applies to custom scenarios only; "
-                    f"built-in scenarios pin it so their delay grids stay exact"
-                )
         report = experiments.run_named_scenario(
             args.scenario, args.seed if args.seed is not None else 1
         )
     else:
-        flags = {"seed": args.seed, "threshold_db": args.threshold_db,
-                 "fs": args.fs, "speed": args.speed}
-        overrides = {key: str(value) for key, value in flags.items() if value is not None}
-        if args.one_way:
-            overrides["one_way"] = "true"
-        report = experiments.run_custom(parse_scenario(args.scenario, overrides))
+        cfg = parse_scenario(args.scenario)
+        if args.seed is not None:
+            cfg.seed = check_seed(args.seed)
+        report = experiments.run_custom(cfg)
 
     out = _out_dir(args)
     experiments.write_outputs(report, out)

@@ -31,10 +31,6 @@ signal, below Tc for the triangle method, on a sample of its own, and the
 fixed gains together must leave the profile finite. Each error starts with the
 ``file:line`` that set the bad value; a tap is named by its ``[tap]`` line and
 its place (``tap 0``).
-
-Overrides (the ``trifmcw simulate`` flags) are raw ``key -> value`` strings
-for global keys. Each replaces only its key's file value, and both pass that
-key's check; an override's errors name the key (``seed override: ...``).
 """
 
 from __future__ import annotations
@@ -136,12 +132,8 @@ _GLOBALS = {
 }
 
 
-def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioConfig:
-    """Parse and check a scenario file; every error names the file and line.
-
-    ``overrides`` replace file values as described above; each file value
-    must pass its key's check too.
-    """
+def parse_scenario(path) -> ScenarioConfig:
+    """Parse and check a scenario file; every error names the file and line."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -166,13 +158,11 @@ def parse_scenario(path, overrides: dict[str, str] | None = None) -> ScenarioCon
         if key in target:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         target[key] = (value.strip(), f"{path}:{lineno}")
-    given = [(key, *entry) for key, entry in file_globals.items()]
-    given += [(key, value, f"{key} override") for key, value in (overrides or {}).items()]
 
     values = {key: default for key, (_, default) in _GLOBALS.items()}
     values["name"] = path.stem
-    where: dict[str, str] = {}  # key -> "file:line" or "key override" of its value
-    for key, value, at in given:
+    where: dict[str, str] = {}  # key -> "file:line" of its value
+    for key, (value, at) in file_globals.items():
         if key not in _GLOBALS:
             raise ConfigError(f"{at}: unknown key {key!r}")
         values[key], where[key] = _at(at, _GLOBALS[key][0], value), at

@@ -40,6 +40,9 @@ __all__ = [
 
 # Relative slack for "fs*Tc must be an integer" style checks.
 _GRID_TOL = 1e-9
+# Bytes of the largest array numpy can index, and of one complex sample.
+_MAX_BYTES = int(np.iinfo(np.intp).max)
+_SAMPLE_BYTES = np.dtype(np.complex128).itemsize
 
 
 class WaveformKind(str, Enum):
@@ -58,13 +61,24 @@ def check_positive(field: str, value: float) -> float:
 
 
 def check_chirp_rate(bandwidth_hz: float, chirp_duration_s: float) -> None:
-    """Raise ConfigError unless pi*B/Tc, by which synthesis scales t^2, is finite."""
+    """Raise ConfigError unless synthesis and the range axis hold the chirp of B over Tc.
+
+    Synthesis scales t^2 by pi*alpha (alpha = B/Tc), and range bins divide by
+    the gentle ramp's alpha/2. Its phase terms t^2, pi*alpha*t^2 and 2*pi*B*t
+    grow with t, so their values at t = Ts = 2*Tc bound every sample's.
+    """
     rate = bandwidth_hz / chirp_duration_s
+    ts = 2.0 * chirp_duration_s
+    terms = (ts * ts, math.pi * rate * (ts * ts), 2.0 * math.pi * bandwidth_hz * ts)
     if not math.pi * rate < math.inf:  # an inf there turns t = 0 into nan
-        raise ConfigError(
-            f"chirp rate B/Tc must be below {sys.float_info.max / math.pi:.6g} Hz/s, "
-            f"got {rate} (B={bandwidth_hz}, Tc={chirp_duration_s})"
-        )
+        bound = f"be below {sys.float_info.max / math.pi:.6g} Hz/s, got {rate}"
+    elif not all(term < math.inf for term in terms):  # inf * 0 is nan, which fails too
+        bound = "keep each phase t^2, pi*(B/Tc)*t^2 and 2*pi*B*t finite up to t = 2*Tc"
+    elif not rate / 2.0 > 0.0:
+        bound = f"be at least {2.0 * math.ulp(0.0):.6g} Hz/s, got {rate}"
+    else:
+        return
+    raise ConfigError(f"chirp rate B/Tc must {bound} (B={bandwidth_hz}, Tc={chirp_duration_s})")
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,13 @@ class WaveformSpec:
         if abs(n - round(n)) > _GRID_TOL * max(1.0, n):
             raise ConfigError(
                 f"fs*Tc must be an integer sample count, got {n!r} "
+                f"(fs={fs}, Tc={self.chirp_duration_s})"
+            )
+        size = self.num_samples * _SAMPLE_BYTES
+        if size > _MAX_BYTES:
+            raise ConfigError(
+                f"fs*Tc={n:.6g} gives {self.num_samples:.6g} complex samples, "
+                f"{size:.6g} bytes, past the {_MAX_BYTES:.6g} bytes numpy can index "
                 f"(fs={fs}, Tc={self.chirp_duration_s})"
             )
 

@@ -153,7 +153,7 @@ def test_profile_missing_metadata(tmp_path, capsys):
 
 def test_simulate_builtin_rejects_fs_override(capsys):
     assert run("simulate", "four_path", "--fs", "32000") == 1
-    assert "custom scenarios only" in capsys.readouterr().err
+    assert "unrecognized arguments: --fs 32000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--speed", "340"], ["--one-way"]], ids=["speed", "one_way"])
@@ -163,7 +163,21 @@ def test_simulate_builtin_rejects_range_mapping_flags(tmp_path, capsys, scenario
     assert run("simulate", scenario, *flags, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert f"{flags[0]} applies to custom scenarios only" in err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert not out.exists()
+
+
+# A .scn file pins its whole setup: each of its keys has no flag.
+@pytest.mark.parametrize("flags", [["--threshold-db", "-20"], ["--fs", "32000"],
+                                   ["--speed", "340"], ["--one-way"]],
+                         ids=["threshold_db", "fs", "speed", "one_way"])
+def test_simulate_scn_rejects_the_flags_of_its_keys(tmp_path, capsys, flags):
+    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
     assert not out.exists()
 
 
@@ -208,28 +222,6 @@ def test_profile_missing_file_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and str(missing) in err
     assert len(err.splitlines()) == 1
-
-
-def test_speed_flag_keeps_the_files_one_way(tmp_path):
-    scn = tmp_path / "delay_p.scn"
-    scn.write_text("bandwidth = 8000\nchirp = 0.1\none_way = true\n\n[tap]\ndelay_p = 24\n")
-    out = tmp_path / "out"
-    assert run("simulate", str(scn), "--speed", "340", "--out", str(out)) == 0
-    constants = json.loads((out / "metrics.json").read_text())["constants"]
-    assert constants["speed_mps"] == 340.0
-    assert constants["round_trip"] is False
-
-
-def test_one_way_flag_keeps_the_files_speed(tmp_path):
-    # 0.51 m one way at 340 m/s is 1.5 ms, sample 24; at 343 m/s it is off the grid.
-    scn = tmp_path / "range.scn"
-    scn.write_text("bandwidth = 8000\nchirp = 0.1\nspeed = 340\n\n[tap]\nrange_m = 0.51\n")
-    out = tmp_path / "out"
-    assert run("simulate", str(scn), "--one-way", "--out", str(out)) == 0
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["constants"]["speed_mps"] == 340.0
-    assert metrics["constants"]["round_trip"] is False
-    assert metrics["methods"]["triangle"]["peak_bins"] == [24]
 
 
 @pytest.mark.parametrize(
@@ -405,11 +397,11 @@ def _scn(tmp_path, body, name="x.scn"):
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "3"])
 def test_simulate_threshold_must_be_finite_and_not_positive(tmp_path, capsys, value):
-    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n")
+    scn = _scn(tmp_path, f"threshold_db = {value}\n\n[tap]\ndelay_p = 48\n")
     out = tmp_path / "out"
-    assert run("simulate", str(scn), f"--threshold-db={value}", "--out", str(out)) == 2
+    assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "threshold_db" in err
+    assert len(err.splitlines()) == 1 and f"{scn}:3:" in err
     assert not out.exists()
 
 
@@ -428,14 +420,15 @@ def test_profile_nan_threshold_exits_two(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "flags, limit",
-    [([], "17.15 m (c*Tc/2 round trip)"), (["--one-way"], "34.3 m (c*Tc one way)")],
+    "mapping, limit",
+    [("", "17.15 m (c*Tc/2 round trip)"), ("one_way = true\n", "34.3 m (c*Tc one way)")],
+    ids=["round_trip", "one_way"],
 )
-def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, flags, limit):
+def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, mapping, limit):
     # p = 3000 is tau = 1.5*Tc at B = 8 kHz, Tc = 0.1 s.
-    scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 3000\n")
+    scn = _scn(tmp_path, mapping + "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 3000\n")
     out = tmp_path / "out"
-    assert run("simulate", str(scn), *flags, "--out", str(out)) == 2
+    assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "tap 1 delay 0.1875 s" in err and "maximum unambiguous range is " + limit in err
@@ -458,51 +451,42 @@ def test_profile_rejects_a_non_numeric_time_column(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "zzz" in err
 
 
-# Round trip at 340 or 343 m/s and one way at 343 m/s put 3.644375 m on the
-# 16-kHz grid; one way at 340 m/s needs the 32-kHz grid, given with it below.
-_OVERRIDE_TAPS = (
+_SEEDED_TAPS = (
     "\n[tap]\ndelay_p = 48\ngain = rayleigh\n"
     "\n[tap]\nrange_m = 3.644375\ngain_re = 0.7\ngain_im = 0.2\n"
 )
-_FLAG_KEYS = {
-    "seed": (["--seed", "11"], "seed = 11"),
-    "threshold": (["--threshold-db", "-20"], "threshold_db = -20"),
-    "fs": (["--fs", "32000"], "fs = 32000"),
-    "speed": (["--speed", "340"], "speed = 340"),
-    "one_way": (["--one-way"], "one_way = true"),
-}
 
 
 def _run_scn(tmp_path, subdir, keys, *flags):
     scn = tmp_path / subdir / "x.scn"
     scn.parent.mkdir()
     scn.write_text("bandwidth = 8000\nchirp = 0.1\nmethods = triangle,sawtooth\n"
-                   + "".join(line + "\n" for line in keys) + _OVERRIDE_TAPS)
+                   + "".join(line + "\n" for line in keys) + _SEEDED_TAPS)
     out = tmp_path / subdir / "out"
     assert run("simulate", str(scn), *flags, "--out", str(out)) == 0
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
-@pytest.mark.parametrize("names", [[name] for name in _FLAG_KEYS] + [list(_FLAG_KEYS)])
-def test_simulate_flag_gives_the_bytes_of_its_scn_key(tmp_path, names):
-    flags = [flag for name in names for flag in _FLAG_KEYS[name][0]]
-    keys = [_FLAG_KEYS[name][1] for name in names]
-    assert _run_scn(tmp_path, "flag", [], *flags) == _run_scn(tmp_path, "key", keys)
+def test_simulate_seed_flag_gives_the_bytes_of_the_seed_key(tmp_path):
+    assert _run_scn(tmp_path, "flag", [], "--seed", "11") == _run_scn(tmp_path, "key", ["seed = 11"])
 
 
-@pytest.mark.parametrize(
-    "line, flags",
-    [
-        ("seed = x", ["--seed", "3"]),
-        ("threshold_db = 3", ["--threshold-db", "-20"]),
-        ("fs = nan", ["--fs", "32000"]),
-        ("speed = inf", ["--speed", "340"]),
-        ("one_way = maybe", ["--one-way"]),
-        ("speed = -1", ["--speed", "340"]),
-    ],
-)
+@pytest.mark.parametrize("line", ["threshold_db = 3", "fs = nan", "speed = inf",
+                                  "one_way = maybe", "speed = -1"])
+def test_bad_scn_global_value_exits_two_naming_its_line(tmp_path, capsys, line):
+    scn = _scn(tmp_path, line + "\n" + _SEEDED_TAPS)
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{scn}:3:" in err
+    assert not out.exists()
+
+
+# --seed replaces the file's seed, and the file's seed is still checked.
+@pytest.mark.parametrize("line, flags", [("seed = x", ["--seed", "3"]),
+                                         ("seed = -1", ["--seed", "18446744073709551615"])])
 def test_bad_scn_value_replaced_by_a_flag_still_exits_two(tmp_path, capsys, line, flags):
-    scn = _scn(tmp_path, line + "\n" + _OVERRIDE_TAPS)
+    scn = _scn(tmp_path, line + "\n" + _SEEDED_TAPS)
     out = tmp_path / "out"
     assert run("simulate", str(scn), *flags, "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -511,11 +495,12 @@ def test_bad_scn_value_replaced_by_a_flag_still_exits_two(tmp_path, capsys, line
 
 
 def test_simulate_negative_seed_on_a_scn_exits_two(tmp_path, capsys):
-    scn = _scn(tmp_path, _OVERRIDE_TAPS)
+    scn = _scn(tmp_path, _SEEDED_TAPS)
     out = tmp_path / "out"
     assert run("simulate", str(scn), "--seed", "-1", "--out", str(out)) == 2
+    # The message of a built-in's --seed -1, with no prefix of its own.
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "seed must be non-negative" in err
+    assert err == "configuration error: seed must be non-negative and below 2^64, got -1\n"
     assert not out.exists()
 
 
@@ -528,7 +513,7 @@ def test_simulate_builtin_negative_seed_exits_two(tmp_path, capsys):
 
 
 def test_scn_seed_of_two_to_the_64_exits_two(tmp_path, capsys):
-    scn = _scn(tmp_path, "seed = 18446744073709551616\n" + _OVERRIDE_TAPS)
+    scn = _scn(tmp_path, "seed = 18446744073709551616\n" + _SEEDED_TAPS)
     out = tmp_path / "out"
     assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -538,12 +523,12 @@ def test_scn_seed_of_two_to_the_64_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fs", ["5", "-5"])
-def test_fs_flag_off_the_grid_exits_two_on_a_scn_without_taps(tmp_path, capsys, fs):
-    scn = _scn(tmp_path, "methods = triangle,extended\n")
+def test_file_fs_below_the_band_edge_exits_two_on_a_scn_without_taps(tmp_path, capsys, fs):
+    scn = _scn(tmp_path, f"methods = triangle,extended\nfs = {fs}\n")
     out = tmp_path / "out"
-    assert run("simulate", str(scn), "--fs", fs, "--out", str(out)) == 2
+    assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "complex-baseband bound" in err
+    assert len(err.splitlines()) == 1 and f"{scn}:4: fs={float(fs)} Hz is below" in err
     assert not out.exists()
 
 
@@ -598,21 +583,52 @@ def test_simulate_scn_past_float_range_is_one_error_line(tmp_path, capsys, taps,
     assert not out.exists()
 
 
-# The fs key's own check is "a finite number"; the band edge and the grid
-# apply to the fs the run uses, so --fs repairs a file fs that is too low.
-def test_fs_flag_replaces_a_file_fs_below_the_band_edge(tmp_path, capsys):
-    scn = _scn(tmp_path, "fs = 5\n")
-    assert run("simulate", str(scn), "--fs", "32000", "--out", str(tmp_path / "o32")) == 0
-    capsys.readouterr()
-    assert run("simulate", str(scn), "--out", str(tmp_path / "o5")) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and f"{scn}:3: fs=5.0 Hz is below" in err
-
-
-def test_fs_flag_puts_an_off_grid_file_tap_on_the_grid(tmp_path, capsys):
-    # p = 10.5 is 10.5 samples at the default 16 kHz and 21 at 32 kHz.
+def test_off_grid_second_tap_names_its_tap_line(tmp_path, capsys):
+    # p = 10.5 is 10.5 samples at the default 16 kHz.
     scn = _scn(tmp_path, "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 10.5\n", "off.scn")
-    assert run("simulate", str(scn), "--out", str(tmp_path / "o16")) == 2
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {scn}:7: tap 1 delay ")
-    assert run("simulate", str(scn), "--fs", "32000", "--out", str(tmp_path / "o32")) == 0
+    assert not out.exists()
+
+
+# (bandwidth, chirp, fs) that synthesis, the range axis or numpy cannot hold,
+# and the rule each breaks.
+_UNHELD_CHIRPS = {
+    # B/Tc = 1e-330 underflows to 0, which range bins divide by.
+    "zero_rate": (1e-300, 1e30, 1e-30, "chirp rate B/Tc must be at least"),
+    # (2*Tc)^2 overflows, and times the zero rate gives nan.
+    "overflow": (1e-300, 1e300, 2e-300, "chirp rate B/Tc must keep each phase"),
+    # The rate 5e-311 is above 0, yet (2*Tc)^2 overflows.
+    "overflow_above_zero": (5e-156, 1e155, 1e-155, "chirp rate B/Tc must keep each phase"),
+    # N = 2^60 complex samples take 2^64 bytes.
+    "sample_count": (2.0**58, 1.0, 2.0**59, "fs*Tc=5.76461e+17 gives 1.15292e+18 complex samples"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", ["waveform", "scn", "beat_csv"])
+@pytest.mark.parametrize("case", list(_UNHELD_CHIRPS))
+def test_a_chirp_no_array_can_hold_is_one_error_line(tmp_path, capsys, case, route):
+    bandwidth, chirp, fs, message = _UNHELD_CHIRPS[case]
+    out = tmp_path / "out"
+    if route == "waveform":
+        argv = ["waveform", "--bandwidth", repr(bandwidth), "--chirp", repr(chirp),
+                "--fs", repr(fs)]
+    elif route == "scn":
+        scn = tmp_path / "x.scn"
+        scn.write_text(f"bandwidth = {bandwidth!r}\nchirp = {chirp!r}\nfs = {fs!r}\n"
+                       "\n[tap]\ndelay_s = 0\n")
+        # B/Tc rules name the chirp line; the grid ties B and Tc to fs.
+        line = 3 if case == "sample_count" else 2
+        argv, message = ["simulate", str(scn)], f"{scn}:{line}: {message}"
+    else:
+        beat = tmp_path / "beat.csv"
+        beat.write_text(f"# kind=triangle\n# bandwidth={bandwidth!r}\n# chirp={chirp!r}\n"
+                        f"# f0=0.0\n# fs={fs!r}\nn,t,re,im\n0,0,1,0\n1,0,1,0\n")
+        argv, message = ["profile", str(beat)], f"{beat}: {message}"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {message}")
+    assert not out.exists()

@@ -151,13 +151,12 @@ def test_fixed_gains_are_bounded_by_their_sum(tmp_path):
     assert len(parse_scenario(write_scn(tmp_path, text)).taps) == 12
 
 
-# fs takes no part in B/Tc, so wherever it is set the chirp line is named.
-@pytest.mark.parametrize("fs_line, overrides", [("fs = 4e300\n", None), ("", {"fs": "4e300"})],
-                         ids=["file", "override"])
-def test_chirp_rate_error_names_the_chirp_line(tmp_path, fs_line, overrides):
+# fs takes no part in B/Tc, so whether it is set or derived the chirp line is named.
+@pytest.mark.parametrize("fs_line", ["fs = 4e300\n", ""], ids=["file", "derived"])
+def test_chirp_rate_error_names_the_chirp_line(tmp_path, fs_line):
     text = "bandwidth = 1e300\nchirp = 1e-300\n" + fs_line
     with pytest.raises(ConfigError, match=r"case.scn:2: chirp rate B/Tc must be below"):
-        parse_scenario(write_scn(tmp_path, text), overrides)
+        parse_scenario(write_scn(tmp_path, text))
 
 
 def test_tap_needs_exactly_one_position(tmp_path):
@@ -226,15 +225,13 @@ def test_tap_checks_name_the_tap_line_and_place(tmp_path, methods, second_tap, e
         parse_scenario(write_scn(tmp_path, text))
 
 
-@pytest.mark.parametrize(
-    "fs_line, overrides, where",
-    [("fs = 16000\n", None, "case.scn:4"), ("", {"fs": "16000"}, "fs override")],
-    ids=["file", "override"],
-)
-def test_fs_below_the_extended_bound_names_where_it_was_set(tmp_path, fs_line, overrides, where):
-    text = "bandwidth = 8000\nchirp = 0.1\nmethods = triangle,extended\n" + fs_line
+@pytest.mark.parametrize("first, where", [(False, "case.scn:4"), (True, "case.scn:1")],
+                         ids=["file", "first_line"])
+def test_fs_below_the_extended_bound_names_where_it_was_set(tmp_path, first, where):
+    keys = ["bandwidth = 8000\n", "chirp = 0.1\n", "methods = triangle,extended\n"]
+    keys.insert(0 if first else 3, "fs = 16000\n")
     with pytest.raises(ConfigError, match=rf"{where}: fs=16000.0 Hz is below .* extended"):
-        parse_scenario(write_scn(tmp_path, text), overrides)
+        parse_scenario(write_scn(tmp_path, "".join(keys)))
 
 
 def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path):

@@ -72,6 +72,15 @@ def test_chirp_rate_past_float_range_rejected(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "chirp rate" in err
 
 
+def test_grid_past_numpy_indexing_rejected():
+    # 2^59 linear samples take 2^63 bytes, one past np.iinfo(np.intp).max;
+    # 64 samples fewer fit, and the spec allocates nothing.
+    with pytest.raises(ConfigError, match=r"fs\*Tc=5.76461e\+17 gives 5.76461e\+17 complex"):
+        WaveformSpec(WaveformKind.LINEAR, 2.0**57, 1.0, sample_rate_hz=2.0**59)
+    spec = WaveformSpec(WaveformKind.LINEAR, 2.0**57, 1.0, sample_rate_hz=2.0**59 - 64)
+    assert spec.num_samples * 16 == np.iinfo(np.intp).max - 1023
+
+
 def test_fs_below_nyquist_bound_rejected():
     with pytest.raises(ConfigError, match="below the complex-baseband bound"):
         WaveformSpec(WaveformKind.TRIANGLE, B, TC, sample_rate_hz=8000.0)
