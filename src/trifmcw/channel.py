@@ -1,8 +1,8 @@
 """Multi-tap delay channel: y[n] = sum_i g_i * x[n - d_i], zero-filled.
 
-Tap delays must land on the sample grid (integer d = tau*fs); no fractional
-delay interpolation is performed. Output is truncated to the input length,
-since beat processing consumes exactly one symbol window.
+Tap delays land on the sample grid (integer d = tau*fs; no interpolation)
+inside the signal, or the triangle's up ramp; taps at one delay add up. The
+output keeps the input length: beat processing uses one symbol window.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, GridAlignmentError
-from .waveform import ComplexSignal, WaveformSpec
+from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
 __all__ = ["ChannelTap", "ChannelModel", "apply_channel", "rayleigh_taps"]
 
@@ -35,38 +35,42 @@ class ChannelTap:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Ordered tap list; taps are sorted by increasing delay on construction."""
+    """Ordered tap list, sorted by increasing delay on construction; taps at one delay add up."""
 
     taps: tuple[ChannelTap, ...]
 
     def __post_init__(self):
-        taps = tuple(sorted(self.taps, key=lambda tap: tap.delay_s))
-        delays = [tap.delay_s for tap in taps]
-        if len(set(delays)) != len(delays):
-            raise ValueError(f"tap delays must be distinct, got {delays}")
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps", tuple(sorted(self.taps, key=lambda tap: tap.delay_s)))
 
     def __len__(self) -> int:
         return len(self.taps)
 
 
 def delay_in_samples(delay_s: float, spec: WaveformSpec, tap_index: int = 0) -> int:
-    """Offset of a delay in whole samples of ``spec``, or ConfigError off its grid or signal.
+    """Offset of a delay in whole samples of ``spec``, or ConfigError off its grid or window.
 
-    The grid comes first, so an offset that rounds to the signal length fails too.
+    The window is the signal, or the triangle's up ramp, below Tc: its
+    three-segment beat assumes the echo of the up ramp ends inside the symbol,
+    and a longer delay aliases to a wrong range. The grid comes first, so an
+    offset that rounds to the window's end fails too.
     """
     d = delay_s * spec.sample_rate_hz
-    samples = round(d) if math.isfinite(d) else d  # inf passes the grid, not the length
+    samples = round(d) if math.isfinite(d) else d  # inf passes the grid, not the window
     if abs(d - samples) > 1e-9:
         raise GridAlignmentError(
             f"tap {tap_index} delay {delay_s!r} s is {d!r} samples at fs="
             f"{spec.sample_rate_hz} Hz, {abs(d - samples):.3g} samples off the grid; "
             f"override fs so that delay*fs is an integer"
         )
-    if not 0 <= samples < spec.num_samples:
+    triangle = spec.kind is WaveformKind.TRIANGLE
+    bound = spec.samples_per_chirp if triangle else spec.num_samples
+    if not 0 <= samples < bound:
+        window = (
+            f"the triangle up ramp of {bound} samples (Tc={spec.chirp_duration_s} s)"
+            if triangle else f"the {spec.kind.value} signal length {bound}"
+        )
         raise ConfigError(
-            f"tap {tap_index} delay {delay_s!r} s is {samples} samples, beyond "
-            f"the {spec.kind.value} signal length {spec.num_samples}"
+            f"tap {tap_index} delay {delay_s!r} s is {samples} samples, beyond {window}"
         )
     return samples
 

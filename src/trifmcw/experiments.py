@@ -439,11 +439,8 @@ def run_spacing_sweep() -> ExperimentReport:
     rows = []
     for r_moving in positions:
         true_spacing = abs(r_moving - r_fixed)
-        if r_moving == r_fixed:
-            # Co-located reflectors superpose into one tap of doubled gain.
-            channel = ChannelModel((ChannelTap(tau_fixed, 2.0 + 0.0j),))
-        else:
-            channel = _unit_channel([tau_fixed, DESK_MAPPING.range_to_delay(r_moving)])
+        # Co-located reflectors are two taps on one sample, whose echoes add.
+        channel = _unit_channel([tau_fixed, DESK_MAPPING.range_to_delay(r_moving)])
         row: list = [true_spacing]
         degenerate: list[str] = []
         for spec in specs:
@@ -575,7 +572,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
         "notes": report.notes,
         "result": "PASS" if report.passed else "FAIL",
     }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, allow_nan=False) + "\n")
 
     lines = [f"scenario: {report.scenario}"]
     for key, value in report.constants.items():

@@ -26,11 +26,12 @@ Each tap names its position exactly one way (``delay_s`` seconds,
 gain either as ``gain_re``/``gain_im`` or as ``gain = rayleigh``.
 
 A file is checked once, where it is parsed, by the checks the run path
-itself applies: every tap must lie on each method's grid and inside its
-signal, below Tc for the triangle method, on a sample of its own, and the
-fixed gains together must leave the profile finite. Each error starts with the
-``file:line`` that set the bad value; a tap is named by its ``[tap]`` line and
-its place (``tap 0``).
+applies (``channel.delay_in_samples`` puts each tap on every method's grid,
+inside its signal or the triangle's up ramp; the fixed gains and every range
+stay finite), plus one of its own: each tap has its own sample, as a run's
+ground truth lists one range per tap. Each error starts with the ``file:line``
+that set the bad value; a tap is named by its ``[tap]`` line and its place
+(``tap 0``).
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ def parse_scenario(path) -> ScenarioConfig:
     )
     num_samples = max(spec.num_samples for spec in specs)
     mapping = RangeMapping(values["speed"], not values["one_way"])
-    taps: dict[int, tuple[float, complex | str]] = {}  # by offset, see _check_delay
+    for spec in specs:  # a range past float range is put on the speed line, or bandwidth's
+        _at(where.get("speed", where["bandwidth"]), mapping.bin_spacing_m, spec)
+    taps: dict[int, tuple[float, complex | str]] = {}  # by offset, alike on every grid
     # The waveform has unit amplitude, so no beat sample exceeds the sum of
     # the gains' magnitudes. A Rayleigh draw is at most sqrt(53 ln 2) < 6.1,
     # which cannot move a float sum near the bound: the fixed gains decide.
@@ -192,7 +195,8 @@ def parse_scenario(path) -> ScenarioConfig:
             # hypot gives inf where abs(gain) raises.
             fixed_sum += math.hypot(gain.real, gain.imag)
             _at(gain_at, check_beat_magnitude, num_samples, fixed_sum)
-        offset = _check_delay(i, delay, at, specs, mapping)
+        offset = [_at(at, delay_in_samples, delay, spec, i) for spec in specs][0]
+        _at(at, mapping.delay_to_range, delay)
         if offset in taps:
             j = list(taps).index(offset)
             raise ConfigError(
@@ -250,28 +254,6 @@ def _tap(fields: dict, where: str, bandwidth_hz: float, mapping: RangeMapping):
         if bad not in (key, "gain", "gain_re", "gain_im"):
             raise ConfigError(f"{bad_where}: unknown tap key {bad!r}")
     return value, gain, gain_at
-
-
-def _check_delay(i: int, delay: float, where: str, specs, mapping: RangeMapping) -> int:
-    """Check the delay of tap ``i``, set at ``where``, against every spec.
-
-    Returns its offset on the grid of ``specs[0]``: delays on every grid that
-    share an offset on one grid share it on all.
-    """
-    for spec in specs:
-        tc = spec.chirp_duration_s
-        if spec.kind is WaveformKind.TRIANGLE and delay >= tc:
-            # The three-segment triangle beat assumes the echo of the up ramp
-            # ends inside the symbol; a longer delay aliases to a wrong range.
-            formula = "c*Tc/2 round trip" if mapping.round_trip else "c*Tc one way"
-            raise ConfigError(
-                f"{where}: tap {i} delay {delay:.6g} s (range "
-                f"{mapping.delay_to_range(delay):.6g} m) is not below the chirp "
-                f"duration Tc={tc:.6g} s; the triangle method's maximum "
-                f"unambiguous range is {mapping.delay_to_range(tc):.6g} m ({formula})"
-            )
-        _at(where, delay_in_samples, delay, spec, i)
-    return delay_in_samples(delay, specs[0])
 
 
 def build_channel(cfg: ScenarioConfig) -> ChannelModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ComplexSignal
+from .waveform import ComplexSignal, WaveformSpec
 
 __all__ = [
     "RangeMapping",
@@ -58,22 +58,40 @@ class RangeMapping:
         return 2.0 if self.round_trip else 1.0
 
     def delay_to_range(self, tau: float) -> float:
-        """Range in meters of a path delayed by `tau` seconds."""
-        return self.propagation_speed_mps * tau / self._trips
+        """Range in meters of a path delayed by `tau` seconds; ValueError unless finite."""
+        range_m = self.propagation_speed_mps * tau / self._trips
+        if not range_m < math.inf:
+            raise ValueError(f"tap range must be finite: c*tau overflows for a delay of {tau!r} "
+                             f"s at speed {self.propagation_speed_mps} m/s")
+        return range_m
 
     def range_to_delay(self, range_m: float) -> float:
         """Delay in seconds of a path at `range_m` meters."""
         return self._trips * range_m / self.propagation_speed_mps
+
+    def bin_spacing_m(self, spec: WaveformSpec) -> float:
+        """Range step of the profile bins of a beat on ``spec``'s grid, c/(slope*duration)/trips.
+
+        That is c/(4B) round trip on a triangle, half the single-chirp c/(2B).
+        ValueError unless the last bin, N//2 steps out, has a finite range.
+        """
+        duration = spec.num_samples / spec.sample_rate_hz
+        spacing = self.propagation_speed_mps / (spec.effective_slope * duration) / self._trips
+        if not spacing * (spec.num_samples // 2) < math.inf:  # inf * 0 is nan, which fails too
+            raise ValueError(
+                f"profile ranges must be finite, up to bin {spec.num_samples // 2} at "
+                f"{spacing:.6g} m per bin (speed {self.propagation_speed_mps} m/s, "
+                f"bandwidth {spec.bandwidth_hz} Hz)"
+            )
+        return spacing
 
 
 @dataclass(frozen=True)
 class RangeProfile:
     """Power per range bin, derived from the real-part beat spectrum.
 
-    bin p holds |DFT(Re(beat))[p]|^2; the bin-to-range scale is
-    c / (slope * duration), halved for round-trip mapping. For a triangle
-    beat spanning Ts = 2*Tc at slope B/Tc with round-trip mapping this is
-    c/(4B) per bin -- twice as fine as the single-chirp c/(2B).
+    bin p holds |DFT(Re(beat))[p]|^2, at range p * bin_spacing_m (see
+    :meth:`RangeMapping.bin_spacing_m`).
     """
 
     bin_power: np.ndarray
@@ -143,17 +161,15 @@ def range_profile(
 
     The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; the
     rest of the full DFT is their Hermitian mirror. A beat whose bin powers
-    could overflow float64 raises ValueError before the FFT.
+    could overflow float64, or whose ranges could, raises ValueError before
+    the FFT.
     """
     if len(beat) < 2:
         raise ValueError("beat must hold at least two samples")
     real = np.real(beat.samples)
     check_beat_magnitude(len(real), float(np.abs(real).max()))
+    spacing = mapping.bin_spacing_m(beat.spec)
     power = np.abs(np.fft.rfft(real)) ** 2
-    duration = len(beat) / beat.sample_rate_hz
-    spacing = mapping.propagation_speed_mps / (beat.spec.effective_slope * duration)
-    if mapping.round_trip:
-        spacing *= 0.5
     return RangeProfile(power, spacing)
 
 

@@ -7,10 +7,12 @@ from trifmcw import (
     ChannelModel,
     ChannelTap,
     ComplexSignal,
+    ConfigError,
     GridAlignmentError,
     WaveformKind,
     WaveformSpec,
     apply_channel,
+    generate,
     rayleigh_taps,
 )
 
@@ -89,11 +91,38 @@ def test_delay_beyond_signal_rejected():
         apply_channel(x, ChannelModel((ChannelTap(8 / FS, 1.0),)))
 
 
-def test_taps_sorted_and_distinct():
+def test_taps_sorted_by_delay():
     ch = ChannelModel((ChannelTap(0.02, 1.0), ChannelTap(0.01, 2.0)))
     assert [t.delay_s for t in ch.taps] == [0.01, 0.02]
-    with pytest.raises(ValueError, match="distinct"):
-        ChannelModel((ChannelTap(0.01, 1.0), ChannelTap(0.01, 2.0)))
+
+
+@pytest.mark.parametrize("kind", list(WaveformKind))
+def test_taps_on_one_delay_superpose(kind):
+    # 0 + x + x equals 0 + 2x bit for bit: two paths on one sample are one of gain 2.
+    tx = generate(WaveformSpec(kind, 8000.0, 0.1))
+    delay = 48 / tx.sample_rate_hz
+    two = apply_channel(tx, ChannelModel((ChannelTap(delay, 1.0), ChannelTap(delay, 1.0))))
+    one = apply_channel(tx, ChannelModel((ChannelTap(delay, 2.0),)))
+    assert np.array_equal(two.samples.view(np.uint64), one.samples.view(np.uint64))
+
+
+# The triangle's three-segment beat holds while the echo of its up ramp ends
+# inside the symbol, tau < Tc; the other two-chirp kinds hold any delay in the signal.
+@pytest.mark.parametrize("kind", ["triangle", "sawtooth", "gentle", "extended"])
+def test_a_tap_window_is_the_triangle_up_ramp_or_the_signal(kind):
+    tx = generate(WaveformSpec(kind, 8000.0, 0.1))
+    n_c = tx.spec.samples_per_chirp
+
+    def channel(samples):
+        return ChannelModel((ChannelTap(0.0, 1.0), ChannelTap(samples / tx.sample_rate_hz, 1.0)))
+
+    apply_channel(tx, channel(n_c - 1))
+    if kind == "triangle":
+        with pytest.raises(ConfigError, match=r"^tap 1 delay 0.1 s is 1600 samples, beyond "
+                                              r"the triangle up ramp of 1600 samples \(Tc=0.1 s\)$"):
+            apply_channel(tx, channel(n_c))
+    else:
+        assert apply_channel(tx, channel(n_c)).samples[n_c] == 1 + tx.samples[n_c]
 
 
 def test_rayleigh_taps_deterministic():
@@ -114,11 +143,6 @@ def test_rayleigh_seed_range_is_zero_to_two_to_the_64():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=f"got {seed}"):
             rayleigh_taps([0.001], seed=seed)
-
-
-def test_rayleigh_taps_duplicate_delays_rejected():
-    with pytest.raises(ValueError, match="distinct"):
-        rayleigh_taps([0.001, 0.001], seed=1)
 
 
 def test_rayleigh_gain_second_moment():

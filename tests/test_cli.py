@@ -419,19 +419,57 @@ def test_profile_nan_threshold_exits_two(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "mapping, limit",
-    [("", "17.15 m (c*Tc/2 round trip)"), ("one_way = true\n", "34.3 m (c*Tc one way)")],
-    ids=["round_trip", "one_way"],
-)
-def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, mapping, limit):
+# The window is counted in samples, so the range mapping does not change it.
+@pytest.mark.parametrize("mapping", ["", "one_way = true\n"], ids=["round_trip", "one_way"])
+def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, mapping):
     # p = 3000 is tau = 1.5*Tc at B = 8 kHz, Tc = 0.1 s.
     scn = _scn(tmp_path, mapping + "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 3000\n")
     out = tmp_path / "out"
     assert run("simulate", str(scn), "--out", str(out)) == 2
     err = capsys.readouterr().err
+    assert err == (f"configuration error: {scn}:{7 + bool(mapping)}: tap 1 delay 0.1875 s is "
+                   "3000 samples, beyond the triangle up ramp of 1600 samples (Tc=0.1 s)\n")
+    assert not out.exists()
+
+
+# Ranges past float range: the bin spacing c/(4B) itself, and the last bin and
+# c*tau at 1e308 m/s. A .scn names its bandwidth line (1), or its speed line
+# (3) when it sets one.
+_RANGE_OVERFLOWS = {
+    "spacing": ("bandwidth = 1e-307\nchirp = 1e16\nfs = 1e-16\n\n[tap]\ndelay_s = 0\n", 1,
+                ("1e-307", "1e16", "1e-16"), []),
+    "speed": ("bandwidth = 1\nchirp = 1000\nspeed = 1e308\n\n[tap]\ndelay_p = 4\n", 3,
+              ("1", "1000", "2"), ["--speed", "1e308"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", ["scn", "beat_csv"])
+@pytest.mark.parametrize("case", list(_RANGE_OVERFLOWS))
+def test_ranges_past_float_range_are_one_error_line(tmp_path, capsys, case, route):
+    text, line, (bandwidth, chirp, fs), flags = _RANGE_OVERFLOWS[case]
+    out = tmp_path / "out"
+    if route == "scn":
+        scn = tmp_path / "x.scn"
+        scn.write_text(text)
+        argv, where = ["simulate", str(scn)], f"{scn}:{line}: "
+    else:
+        beat = tmp_path / "beat.csv"
+        rows = "".join(f"{n},0,1,0\n" for n in range(round(2 * float(fs) * float(chirp))))
+        beat.write_text(f"# kind=triangle\n# bandwidth={bandwidth}\n# chirp={chirp}\n"
+                        f"# f0=0.0\n# fs={fs}\nn,t,re,im\n{rows}")
+        argv, where = ["profile", str(beat), *flags], ""
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "tap 1 delay 0.1875 s" in err and "maximum unambiguous range is " + limit in err
+    assert err.startswith(f"configuration error: {where}profile ranges must be finite, up to bin ")
+    assert not out.exists()
+
+
+def test_waveform_negative_bandwidth_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("waveform", "--bandwidth", "-8000", "--chirp", "0.1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "configuration error: bandwidth must be > 0, got -8000.0\n"
     assert not out.exists()
 
 

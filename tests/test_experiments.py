@@ -6,6 +6,7 @@ import pytest
 from trifmcw import WaveformKind, WaveformSpec, waveform
 from trifmcw.experiments import (
     BUILTIN_SCENARIOS,
+    ExperimentReport,
     run_four_path,
     run_named_scenario,
     run_non_integer,
@@ -101,6 +102,19 @@ def test_custom_scenario_empty_channel_degenerate():
     assert report.degenerate
     assert report.passed
     assert not report.methods
+
+
+def test_empty_scenario_report_says_degenerate(tmp_path):
+    write_outputs(run_custom(ScenarioConfig(name="empty", specs=(TRIANGLE_SPEC,))), tmp_path)
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "DEGENERATE input: no propagation paths defined" in lines
+    assert lines[-1] == "RESULT: PASS"
+
+
+def test_metrics_json_refuses_a_value_past_float_range(tmp_path):
+    report = ExperimentReport("inf", {}, (float("inf"),))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_outputs(report, tmp_path)
 
 
 def test_custom_scenario_single_tap():

@@ -214,7 +214,8 @@ def test_old_basic_range_is_off_the_grid_at_parse(tmp_path):
          r"case.scn:8: tap 1 delay 0.20625 s is 3300 samples, beyond the sawtooth "
          r"signal length 3200"),
         ("sawtooth,triangle", "delay_p = 3000",
-         r"case.scn:8: tap 1 delay 0.1875 s .* not below the chirp duration Tc=0.1 s"),
+         r"case.scn:8: tap 1 delay 0.1875 s is 3000 samples, beyond the triangle up ramp "
+         r"of 1600 samples \(Tc=0.1 s\)$"),
     ],
     ids=["off_grid", "repeated", "same_sample", "past_the_signal", "triangle_past_tc"],
 )
@@ -239,3 +240,40 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path):
     path.write_bytes(b"bandwidth = 8000\nchirp = 0.1\nname = caf\xe9\n")
     with pytest.raises(ConfigError, match=r"case.scn:3: not UTF-8 text .* 0xe9"):
         parse_scenario(path)
+
+
+TAP = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\n"  # the [tap] line is 4
+
+
+# Every input error names the line that set it, or the [tap] line of a tap.
+@pytest.mark.parametrize("text, error", [
+    ("bandwidth = 8000\nchirp = 0.1\n[chan]\n", r"case.scn:3: unknown block '\[chan\]'"),
+    ("bandwidth = 8000\nchirp 0.1\n", r"case.scn:2: expected 'key = value', got 'chirp 0.1'"),
+    ("bandwidth = 8000\nchirp = 0.1\nchirp = 0.2\n", r"case.scn:3: duplicate key 'chirp'"),
+    (TAP + "delay_p = -3\n", r"case.scn:5: delay_p must be non-negative"),
+    (TAP + "range_m = -0.5\n", r"case.scn:5: range_m must be non-negative"),
+    (TAP + "delay_p = 3\ngain = 0.5\n", r"case.scn:6: gain must be 'rayleigh'"),
+    (TAP + "delay_p = 3\ngain = rayleigh\ngain_re = 1\n",
+     r"case.scn:4: gain=rayleigh excludes gain_re/gain_im"),
+    (TAP + "delay_p = 3\nphase = 1\n", r"case.scn:6: unknown tap key 'phase'"),
+    ("bandwidth = -8000\nchirp = 0.1\n", r"case.scn:1: bandwidth must be > 0, got -8000.0$"),
+    ("bandwidth = 8000\nchirp = -0.1\n", r"case.scn:2: chirp duration must be > 0, got -0.1$"),
+    # Ranges past float range name the speed line, or the bandwidth line
+    # when the file sets no speed; a tap's own range names its [tap] line.
+    ("bandwidth = 1e-307\nchirp = 1e16\nfs = 1e-16\n",
+     r"case.scn:1: profile ranges must be finite, up to bin 1 at inf m per bin"),
+    ("bandwidth = 1\nchirp = 1000\nspeed = 1e308\n",
+     r"case.scn:3: profile ranges must be finite, up to bin 2000 at 2.5e\+307 m per bin"),
+    ("bandwidth = 1\nchirp = 1\nmethods = sawtooth\nspeed = 1.5e308\n\n[tap]\ndelay_p = 3\n",
+     r"case.scn:6: tap range must be finite: c\*tau overflows for a delay of 1.5 s"),
+], ids=["unknown_block", "no_equals", "duplicate_key", "negative_delay_p", "negative_range_m",
+        "fixed_gain", "rayleigh_and_fixed", "unknown_tap_key", "negative_bandwidth",
+        "negative_chirp", "range_spacing", "range_last_bin", "tap_range"])
+def test_input_errors_name_their_line(tmp_path, text, error):
+    with pytest.raises(ConfigError, match=error):
+        parse_scenario(write_scn(tmp_path, text))
+
+
+def test_one_way_false_keeps_round_trip_ranging(tmp_path):
+    text = "bandwidth = 8000\nchirp = 0.1\none_way = false\n"
+    assert parse_scenario(write_scn(tmp_path, text)).mapping.round_trip is True

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -438,3 +440,50 @@ def test_detect_peaks_matches_reference_loop(family):
         assert twins > 0
     if family == "boundary":
         assert edges > 0
+
+
+@pytest.mark.parametrize("kind", list(WaveformKind))
+@pytest.mark.parametrize("round_trip", [True, False])
+def test_bin_spacing_is_c_over_slope_times_duration_per_trip(kind, round_trip):
+    spec = WaveformSpec(kind, B, TC)
+    mapping = RangeMapping(343.0, round_trip)
+    spacing = 343.0 / (spec.effective_slope * (spec.num_samples / spec.sample_rate_hz))
+    want = spacing * 0.5 if round_trip else spacing  # halving is exact either way
+    assert mapping.bin_spacing_m(spec) == want
+    assert range_profile(generate(spec), mapping).bin_spacing_m == want
+
+
+# The spacing c/(4B) itself at B = 1e-307, and the last bin of 2,000 at 1e308 m/s.
+@pytest.mark.parametrize("speed, spec", [
+    (343.0, WaveformSpec(WaveformKind.TRIANGLE, 1e-307, 1e16, sample_rate_hz=1e-16)),
+    (1e308, WaveformSpec(WaveformKind.TRIANGLE, 1.0, 1000.0)),
+], ids=["spacing", "last_bin"])
+def test_ranges_past_float_range_are_refused(speed, spec):
+    names = re.escape(f"(speed {speed} m/s, bandwidth {spec.bandwidth_hz} Hz)")
+    with pytest.raises(ValueError, match=rf"^profile ranges must be finite, up to bin "
+                                         rf"{spec.num_samples // 2} .* {names}$"):
+        range_profile(ComplexSignal(np.ones(spec.num_samples, complex), spec),
+                      RangeMapping(speed))
+    # c*tau overflows before the halving, though c*tau/2 = 1e308 would not.
+    with pytest.raises(ValueError, match=r"tap range must be finite: .* 2.0 s at speed 1e\+308"):
+        RangeMapping(1e308).delay_to_range(2.0)
+
+
+@pytest.mark.parametrize("power, error", [
+    ([], "at least one bin"),
+    ([1.0, -1.0], "finite and non-negative"),
+    ([1.0, np.nan], "finite and non-negative"),
+], ids=["no_bins", "negative", "nan"])
+def test_profile_rejects_bad_bin_powers(power, error):
+    with pytest.raises(ValueError, match=error):
+        RangeProfile(np.array(power), 0.01)
+
+
+def test_sntr_of_a_guard_band_over_the_whole_profile_or_a_zero_signal_bin():
+    with pytest.raises(ValueError, match="guard band covers the entire profile"):
+        sntr(RangeProfile(np.ones(5), 0.01), 2)
+    assert sntr(RangeProfile(np.array([0.0, 1.0, 1.0, 1.0, 1.0]), 0.01), 0) == -np.inf
+
+
+def test_dominance_of_an_all_zero_beat_is_zero():
+    assert energy_dominance(ComplexSignal(np.zeros(SPEC.num_samples, complex), SPEC), 8) == 0.0

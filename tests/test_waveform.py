@@ -209,6 +209,12 @@ def test_spectrogram_window_longer_than_signal_rejected():
         spectrogram(sig, window_len=32, hop=8)
 
 
+def test_spectrogram_hop_must_be_positive():
+    sig = ComplexSignal(np.ones(16, dtype=complex), linear_spec(16, 100.0))
+    with pytest.raises(ValueError, match="hop must be >= 1, got 0"):
+        spectrogram(sig, window_len=8, hop=0)
+
+
 def test_signal_rejects_buffer_off_its_spec_grid():
     spec = tri_spec()
     with pytest.raises(ValueError, match=r"shape \(3199,\) does not match .* 3200"):
