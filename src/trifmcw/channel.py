@@ -60,7 +60,7 @@ def delay_in_samples(delay_s: float, spec: WaveformSpec, tap_index: int = 0) -> 
         raise GridAlignmentError(
             f"tap {tap_index} delay {delay_s!r} s is {d!r} samples at fs="
             f"{spec.sample_rate_hz} Hz, {abs(d - samples):.3g} samples off the grid; "
-            f"override fs so that delay*fs is an integer"
+            f"set fs so that delay*fs is an integer"
         )
     triangle = spec.kind is WaveformKind.TRIANGLE
     bound = spec.samples_per_chirp if triangle else spec.num_samples

@@ -5,7 +5,7 @@ Subcommands::
     trifmcw waveform --kind triangle --bandwidth 8000 --chirp 0.1 [--fs ...]
     trifmcw simulate four_path [--seed N] [--out DIR]
     trifmcw simulate my_scenario.scn [--seed N] [--out DIR]
-    trifmcw profile beat.csv [--out DIR] [--threshold-db -12] [--speed 343] [--one-way]
+    trifmcw profile beat.csv [--out DIR] [--threshold-db -12] [--speed 343]
 
 A ``.scn`` file pins its whole setup; ``--seed`` replaces its ``seed``.
 
@@ -85,9 +85,8 @@ def _build_parser() -> _Parser:
     prof = sub.add_parser("profile", help="range profile and peaks from a beat CSV")
     prof.add_argument("beat_csv", help="beat CSV written by this tool")
     prof.add_argument("--speed", type=float, default=SPEED_OF_SOUND_MPS,
-                      help="propagation speed in m/s (default 343)")
-    prof.add_argument("--one-way", action="store_true",
-                      help="map range = c*tau instead of c*tau/2")
+                      help="round-trip propagation speed in m/s (default 343); "
+                           "twice the speed gives one-way ranging")
     prof.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB)
     prof.add_argument("--out", default=".", help="output directory")
     prof.set_defaults(func=_cmd_profile)
@@ -149,7 +148,11 @@ def _cmd_profile(args) -> int:
             f"metadata sets needs {spec.num_samples}"
         )
     beat = ComplexSignal(samples, spec)
-    profile = range_profile(beat, RangeMapping(args.speed, not args.one_way))
+    mapping = RangeMapping(args.speed)  # a bad flag is the flag's error, not the file's
+    try:
+        profile = range_profile(beat, mapping)
+    except ValueError as exc:
+        raise ConfigError(f"{args.beat_csv}: {exc}") from None
     peaks = detect_peaks(profile, args.threshold_db)
     out = _out_dir(args)
     csvio.write_profile_csv(out / "profile.csv", profile)

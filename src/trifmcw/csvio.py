@@ -4,8 +4,8 @@ Displayed quantities (times, powers, ranges) are written with six
 significant digits using locale-independent formatting. Sample values
 (re/im columns) are written with 17 significant digits so a signal survives
 a write/read cycle bit-for-bit and downstream profiles stay reproducible.
-Metadata rides along as ``# key=value`` comment lines above the header;
-below it, a ``#`` line is a plain comment.
+Metadata rides along as ``# key=value`` comment lines above the header,
+one per key; below it, a ``#`` line is a plain comment.
 
 Rows are written a block of ``_BLOCK_ROWS`` rows at a time, one ``%``
 format per block. The format is unchanged by this, byte for byte: ``%.6g``
@@ -192,6 +192,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
     # crashed the interpreter on a field holding U+9C6BC.
     plain = text.isascii() and "\x1f" not in text
     meta: dict[str, str] = {}
+    meta_line: dict[str, int] = {}  # key -> the line that set it
     values: list[complex] = []
     header = False
     # Where the next line starts: read_utf8 has turned "\r\n" into "\n", so
@@ -206,7 +207,11 @@ def read_signal_csv(path) -> tuple[np.ndarray, dict]:
             body = line[1:].strip()
             if not header and "=" in body:
                 key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
+                key = key.strip()
+                if key in meta:
+                    raise ConfigError(f"{path}:{lineno}: duplicate metadata key {key!r}, "
+                                      f"first set on line {meta_line[key]}")
+                meta[key], meta_line[key] = value.strip(), lineno
             continue
         if not header:
             if line != "n,t,re,im":

@@ -7,8 +7,7 @@ Example::
     bandwidth = 8000
     chirp = 0.1
     # fs = 16000          optional, defaults to 2B (4B for extended)
-    # speed = 343         optional propagation speed, m/s
-    # one_way = false     optional, default round-trip ranging
+    # speed = 343         optional round-trip propagation speed, m/s
     # threshold_db = -12  optional peak threshold
     # seed = 1            optional, for rayleigh gains
 
@@ -86,15 +85,6 @@ def _number(value: str) -> float:
     return number
 
 
-def _boolean(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _methods(value: str) -> tuple[WaveformKind, ...]:
     methods: list[WaveformKind] = []
     for token in value.split(","):
@@ -127,7 +117,6 @@ _GLOBALS = {
     "methods": (_methods, (WaveformKind.TRIANGLE,)),
     "fs": (_number, None),
     "speed": (lambda v: RangeMapping(_number(v)).propagation_speed_mps, SPEED_OF_SOUND_MPS),
-    "one_way": (_boolean, False),
     "threshold_db": (lambda v: check_threshold_db(_number(v)), DEFAULT_THRESHOLD_DB),
     "seed": (_seed, 1),
 }
@@ -181,7 +170,7 @@ def parse_scenario(path) -> ScenarioConfig:
         for kind in values["methods"]
     )
     num_samples = max(spec.num_samples for spec in specs)
-    mapping = RangeMapping(values["speed"], not values["one_way"])
+    mapping = RangeMapping(values["speed"])
     for spec in specs:  # a range past float range is put on the speed line, or bandwidth's
         _at(where.get("speed", where["bandwidth"]), mapping.bin_spacing_m, spec)
     taps: dict[int, tuple[float, complex | str]] = {}  # by offset, alike on every grid

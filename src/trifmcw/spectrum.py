@@ -36,15 +36,13 @@ GUARD_BINS = 2
 
 @dataclass(frozen=True)
 class RangeMapping:
-    """Frequency-to-range scaling.
+    """Frequency-to-range scaling, round trip: range = c*tau/2.
 
-    round_trip=True maps range = c*tau/2 (propagation out and back), which
-    is the convention matching the simulated acoustic scenarios; pass
-    round_trip=False for one-way ranging.
+    The path goes out and back, as in the simulated acoustic scenarios. For
+    one-way geometry, give twice the propagation speed.
     """
 
     propagation_speed_mps: float = SPEED_OF_SOUND_MPS
-    round_trip: bool = True
 
     def __post_init__(self):
         if not 0 < self.propagation_speed_mps < math.inf:
@@ -53,13 +51,9 @@ class RangeMapping:
                 f"got {self.propagation_speed_mps}"
             )
 
-    @property
-    def _trips(self) -> float:
-        return 2.0 if self.round_trip else 1.0
-
     def delay_to_range(self, tau: float) -> float:
         """Range in meters of a path delayed by `tau` seconds; ValueError unless finite."""
-        range_m = self.propagation_speed_mps * tau / self._trips
+        range_m = self.propagation_speed_mps * tau / 2.0
         if not range_m < math.inf:
             raise ValueError(f"tap range must be finite: c*tau overflows for a delay of {tau!r} "
                              f"s at speed {self.propagation_speed_mps} m/s")
@@ -67,16 +61,16 @@ class RangeMapping:
 
     def range_to_delay(self, range_m: float) -> float:
         """Delay in seconds of a path at `range_m` meters."""
-        return self._trips * range_m / self.propagation_speed_mps
+        return 2.0 * range_m / self.propagation_speed_mps
 
     def bin_spacing_m(self, spec: WaveformSpec) -> float:
-        """Range step of the profile bins of a beat on ``spec``'s grid, c/(slope*duration)/trips.
+        """Range step of the profile bins of a beat on ``spec``'s grid, c/(slope*duration)/2.
 
-        That is c/(4B) round trip on a triangle, half the single-chirp c/(2B).
+        That is c/(4B) on a triangle, half the single-chirp c/(2B).
         ValueError unless the last bin, N//2 steps out, has a finite range.
         """
         duration = spec.num_samples / spec.sample_rate_hz
-        spacing = self.propagation_speed_mps / (spec.effective_slope * duration) / self._trips
+        spacing = self.propagation_speed_mps / (spec.effective_slope * duration) / 2.0
         if not spacing * (spec.num_samples // 2) < math.inf:  # inf * 0 is nan, which fails too
             raise ValueError(
                 f"profile ranges must be finite, up to bin {spec.num_samples // 2} at "

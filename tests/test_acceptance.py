@@ -34,7 +34,7 @@ TC = 0.1
 TRI = WaveformSpec(WaveformKind.TRIANGLE, B, TC)
 SAW = WaveformSpec(WaveformKind.SAWTOOTH, B, TC)
 EXT = WaveformSpec(WaveformKind.EXTENDED, B, TC)
-MAP = RangeMapping(343.0, round_trip=True)
+MAP = RangeMapping(343.0)
 
 
 def _report(ac_id, ok, detail):

@@ -81,7 +81,7 @@ def test_single_tap_energy_clips_tail():
 def test_off_grid_delay_names_the_tap():
     x = sig_of(np.ones(16))
     ch = ChannelModel((ChannelTap(0.0, 1.0), ChannelTap(2.5 / FS, 1.0)))
-    with pytest.raises(GridAlignmentError, match="tap 1 .*override fs"):
+    with pytest.raises(GridAlignmentError, match="tap 1 .*set fs so that"):
         apply_channel(x, ch)
 
 

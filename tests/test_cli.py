@@ -90,7 +90,7 @@ def test_simulate_off_grid_tap_names_tap_and_suggests_fs(tmp_path, capsys):
     )
     assert run("simulate", str(scn), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert "tap 0" in err and "override fs" in err
+    assert "tap 0" in err and "set fs so that" in err
 
 
 def test_profile_round_trip_matches_simulate(tmp_path):
@@ -183,10 +183,11 @@ def test_simulate_scn_rejects_the_flags_of_its_keys(tmp_path, capsys, flags):
 
 def test_profile_remaps_a_builtin_beat(tmp_path, four_path_dir):
     # The digest is of `simulate four_path --speed 340 --one-way`'s
-    # profile_triangle_det.csv, from before built-ins pinned their mapping.
+    # profile_triangle_det.csv, from before built-ins pinned their mapping:
+    # one way at 340 m/s is round trip at 680 m/s, bit for bit.
     out = tmp_path / "out"
     beat = four_path_dir / "beat_triangle_det.csv"
-    assert run("profile", str(beat), "--speed", "340", "--one-way", "--out", str(out)) == 0
+    assert run("profile", str(beat), "--speed", "680", "--out", str(out)) == 0
     digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
     assert digest == "201ea6a075b853ac4fe07eb1639d1ab7923b40ece7448baa4e9ce248a92b976e"
 
@@ -242,6 +243,7 @@ def test_non_finite_flag_exits_two_naming_it(tmp_path, capsys, four_path_dir, ar
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and names in err
+    assert beat not in err  # a bad flag is the flag's error, not the beat's
     assert not out.exists()
 
 
@@ -346,7 +348,23 @@ def test_profile_of_a_beat_too_large_for_its_power_is_one_error_line(
         capsys.readouterr()
         assert run("profile", str(beat), "--out", str(tmp_path / "prof")) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "too large for a finite profile" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"configuration error: {beat}: beat is too large for a finite profile")
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_refuses_a_repeated_metadata_key(tmp_path, capsys, four_path_dir):
+    # Taking the last value, bandwidth=4000 would double every range.
+    lines = (four_path_dir / "beat_triangle_det.csv").read_text().splitlines(keepends=True)
+    assert lines[1] == "# bandwidth=8000.0\n"
+    lines.insert(2, "# bandwidth=4000\n")
+    beat = tmp_path / "beat.csv"
+    beat.write_text("".join(lines))
+    out = tmp_path / "prof"
+    assert run("profile", str(beat), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"configuration error: {beat}:3: duplicate metadata key "
+                                       "'bandwidth', first set on line 2\n")
+    assert not out.exists()
 
 
 def test_metadata_below_the_header_is_a_plain_comment(tmp_path, four_path_dir):
@@ -376,7 +394,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, four_path_dir):
     assert peak_bins(default) == [48, 50, 56, 57]
 
     one_way, plain = tmp_path / "one_way", tmp_path / "plain"
-    assert run("profile", beat, "--one-way", "--out", str(one_way)) == 0
+    assert run("profile", beat, "--speed", "686", "--out", str(one_way)) == 0
     assert run("profile", beat, "--out", str(plain)) == 0
     assert read_lines(one_way / "profile.csv")[2].split(",")[1] == "0.0214375"
     expected = (four_path_dir / "profile_triangle_det.csv").read_bytes()
@@ -420,7 +438,8 @@ def test_profile_nan_threshold_exits_two(tmp_path, capsys, value):
 
 
 # The window is counted in samples, so the range mapping does not change it.
-@pytest.mark.parametrize("mapping", ["", "one_way = true\n"], ids=["round_trip", "one_way"])
+# One way at 343 m/s is round trip at 686 m/s.
+@pytest.mark.parametrize("mapping", ["", "speed = 686\n"], ids=["round_trip", "one_way"])
 def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, mapping):
     # p = 3000 is tau = 1.5*Tc at B = 8 kHz, Tc = 0.1 s.
     scn = _scn(tmp_path, mapping + "\n[tap]\ndelay_p = 48\n\n[tap]\ndelay_p = 3000\n")
@@ -434,7 +453,7 @@ def test_triangle_tap_at_or_beyond_tc_exits_two(tmp_path, capsys, mapping):
 
 # Ranges past float range: the bin spacing c/(4B) itself, and the last bin and
 # c*tau at 1e308 m/s. A .scn names its bandwidth line (1), or its speed line
-# (3) when it sets one.
+# (3) when it sets one; a beat CSV names its file.
 _RANGE_OVERFLOWS = {
     "spacing": ("bandwidth = 1e-307\nchirp = 1e16\nfs = 1e-16\n\n[tap]\ndelay_s = 0\n", 1,
                 ("1e-307", "1e16", "1e-16"), []),
@@ -458,7 +477,7 @@ def test_ranges_past_float_range_are_one_error_line(tmp_path, capsys, case, rout
         rows = "".join(f"{n},0,1,0\n" for n in range(round(2 * float(fs) * float(chirp))))
         beat.write_text(f"# kind=triangle\n# bandwidth={bandwidth}\n# chirp={chirp}\n"
                         f"# f0=0.0\n# fs={fs}\nn,t,re,im\n{rows}")
-        argv, where = ["profile", str(beat), *flags], ""
+        argv, where = ["profile", str(beat), *flags], f"{beat}: "
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -669,4 +688,17 @@ def test_a_chirp_no_array_can_hold_is_one_error_line(tmp_path, capsys, case, rou
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
+def test_one_way_is_no_scn_key_and_no_profile_flag(tmp_path, capsys, four_path_dir):
+    # One-way ranging is round trip at twice the speed: `speed = 686` for 343 m/s.
+    scn = _scn(tmp_path, "one_way = true\n\n[tap]\ndelay_p = 48\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(scn), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"configuration error: {scn}:3: unknown key 'one_way'\n"
+    beat = str(four_path_dir / "beat_triangle_det.csv")
+    assert run("profile", beat, "--one-way", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unrecognized arguments: --one-way" in err
     assert not out.exists()

@@ -17,8 +17,8 @@ name = demo
 methods = triangle, sawtooth
 bandwidth = 8000
 chirp = 0.1
-speed = 340
-one_way = true
+speed = 680
+# one way at 340 m/s
 threshold_db = -9
 seed = 11
 
@@ -37,8 +37,7 @@ def test_parse_basic_scenario(tmp_path):
     cfg = parse_scenario(write_scn(tmp_path, BASIC))
     assert cfg.name == "demo"
     assert [spec.kind for spec in cfg.specs] == [WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH]
-    assert cfg.mapping.propagation_speed_mps == 340.0
-    assert cfg.mapping.round_trip is False
+    assert cfg.mapping.propagation_speed_mps == 680.0
     assert cfg.threshold_db == -9.0
     assert cfg.seed == 11
     assert len(cfg.taps) == 2
@@ -272,8 +271,3 @@ TAP = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\n"  # the [tap] line is 4
 def test_input_errors_name_their_line(tmp_path, text, error):
     with pytest.raises(ConfigError, match=error):
         parse_scenario(write_scn(tmp_path, text))
-
-
-def test_one_way_false_keeps_round_trip_ranging(tmp_path):
-    text = "bandwidth = 8000\nchirp = 0.1\none_way = false\n"
-    assert parse_scenario(write_scn(tmp_path, text)).mapping.round_trip is True

@@ -27,7 +27,7 @@ from trifmcw.experiments import run_sntr_sweep
 B = 8000.0
 TC = 0.1
 SPEC = WaveformSpec(WaveformKind.TRIANGLE, B, TC)
-MAP = RangeMapping(343.0, round_trip=True)
+MAP = RangeMapping(343.0)
 
 
 def tap_of(p):
@@ -445,12 +445,16 @@ def test_detect_peaks_matches_reference_loop(family):
 @pytest.mark.parametrize("kind", list(WaveformKind))
 @pytest.mark.parametrize("round_trip", [True, False])
 def test_bin_spacing_is_c_over_slope_times_duration_per_trip(kind, round_trip):
+    # A mapping is round trip; one way at c is given as 2c, and the doubling
+    # and halving are exact, so it gives the one-way c/(slope*duration) and c*tau.
     spec = WaveformSpec(kind, B, TC)
-    mapping = RangeMapping(343.0, round_trip)
+    mapping = RangeMapping(343.0 if round_trip else 686.0)
     spacing = 343.0 / (spec.effective_slope * (spec.num_samples / spec.sample_rate_hz))
-    want = spacing * 0.5 if round_trip else spacing  # halving is exact either way
+    want = spacing * 0.5 if round_trip else spacing
     assert mapping.bin_spacing_m(spec) == want
     assert range_profile(generate(spec), mapping).bin_spacing_m == want
+    for tau in (0.0, 0.003, 1 / 3, 0.0999):
+        assert mapping.delay_to_range(tau) == (343.0 * tau * 0.5 if round_trip else 343.0 * tau)
 
 
 # The spacing c/(4B) itself at B = 1e-307, and the last bin of 2,000 at 1e308 m/s.
