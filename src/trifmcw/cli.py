@@ -8,6 +8,9 @@ Subcommands::
     trifmcw profile beat.csv [--out DIR] [--threshold-db -12] [--speed 343]
 
 A ``.scn`` file pins its whole setup; ``--seed`` replaces its ``seed``.
+``waveform`` writes the signal and the spectrogram that
+:func:`~trifmcw.waveform.spectrogram` frames. ``profile`` names the beat
+file in front of every refusal of its content.
 
 Exit codes: 0 success (report PASS), 1 usage error, 2 configuration
 invariant violated, an input/output file could not be read or written
@@ -104,15 +107,8 @@ def _cmd_waveform(args) -> int:
                         sample_rate_hz=args.fs)
     sig = generate(spec)
     out = _out_dir(args)
-    csvio.write_signal_csv(
-        out / "waveform.csv", sig.samples, sig.sample_rate_hz, csvio.spec_meta(spec)
-    )
-    window_len = max(1, spec.samples_per_chirp // 16)
-    hop = max(1, window_len // 2)
-    matrix = spectrogram(sig, window_len, hop)
-    csvio.write_spectrogram_csv(
-        out / "spectrogram.csv", matrix, sig.sample_rate_hz, hop
-    )
+    csvio.write_signal_csv(out / "waveform.csv", sig)
+    csvio.write_spectrogram_csv(out / "spectrogram.csv", *spectrogram(sig))
     print(
         f"wrote {len(sig)} samples of {spec.kind.value} waveform "
         f"(fs={csvio.fmt(spec.sample_rate_hz)} Hz) to {out / 'waveform.csv'}"
@@ -142,15 +138,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_profile(args) -> int:
     samples, meta = csvio.read_signal_csv(args.beat_csv)
     spec = csvio.spec_from_meta(meta, args.beat_csv)
-    if len(samples) != spec.num_samples:
-        raise ConfigError(
-            f"{args.beat_csv}: {len(samples)} sample rows, but the grid its "
-            f"metadata sets needs {spec.num_samples}"
-        )
-    beat = ComplexSignal(samples, spec)
     mapping = RangeMapping(args.speed)  # a bad flag is the flag's error, not the file's
     try:
-        profile = range_profile(beat, mapping)
+        profile = range_profile(ComplexSignal(samples, spec), mapping)
     except ValueError as exc:
         raise ConfigError(f"{args.beat_csv}: {exc}") from None
     peaks = detect_peaks(profile, args.threshold_db)

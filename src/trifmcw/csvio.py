@@ -5,7 +5,8 @@ significant digits using locale-independent formatting. Sample values
 (re/im columns) are written with 17 significant digits so a signal survives
 a write/read cycle bit-for-bit and downstream profiles stay reproducible.
 Metadata rides along as ``# key=value`` comment lines above the header,
-one per key; below it, a ``#`` line is a plain comment.
+one per key; below it, a ``#`` line is a plain comment. A signal's
+metadata and ``t`` column both come from its spec.
 
 Rows are written a block of ``_BLOCK_ROWS`` rows at a time, one ``%``
 format per block. The format is unchanged by this, byte for byte: ``%.6g``
@@ -34,11 +35,10 @@ import numpy as np
 
 from .errors import ConfigError, read_utf8
 from .spectrum import PeakSet, RangeProfile
-from .waveform import WaveformKind, WaveformSpec
+from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
 __all__ = [
     "fmt",
-    "spec_meta",
     "spec_from_meta",
     "write_signal_csv",
     "read_signal_csv",
@@ -64,7 +64,7 @@ def fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def spec_meta(spec: WaveformSpec) -> dict:
+def _spec_meta(spec: WaveformSpec) -> dict:
     """The ``# key=value`` metadata that lets a signal CSV rebuild its spec."""
     return {
         "kind": spec.kind.value,
@@ -76,7 +76,7 @@ def spec_meta(spec: WaveformSpec) -> dict:
 
 
 def spec_from_meta(meta: dict, source) -> WaveformSpec:
-    """Rebuild the spec that :func:`spec_meta` recorded in ``source``.
+    """Rebuild the spec that :func:`write_signal_csv` recorded in ``source``.
 
     Raises ConfigError starting with ``source`` and naming the bad key.
     """
@@ -119,16 +119,15 @@ def _write_rows(path, head: str, row_fmt: str, columns) -> None:
             f.write((row_fmt * (b - a)) % tuple(chain.from_iterable(cells)))
 
 
-def write_signal_csv(path, samples: np.ndarray, sample_rate_hz: float, meta: dict) -> None:
-    """Write complex samples as ``n,t,re,im`` with metadata comments."""
-    samples = np.asarray(samples)
-    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
-    index = np.arange(len(samples))
+def write_signal_csv(path, sig: ComplexSignal) -> None:
+    """Write ``sig`` as ``n,t,re,im`` below the metadata of its spec."""
+    head = "".join(f"# {key}={value}\n" for key, value in _spec_meta(sig.spec).items())
+    index = np.arange(len(sig))
     _write_rows(
         path,
         head + "n,t,re,im\n",
         "%d,%.6g,%.17g,%.17g\n",
-        [index, index / sample_rate_hz, samples.real, samples.imag],
+        [index, index / sig.sample_rate_hz, sig.samples.real, sig.samples.imag],
     )
 
 
@@ -290,14 +289,13 @@ def write_table_csv(path, header: tuple[str, ...], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_spectrogram_csv(path, matrix: np.ndarray, sample_rate_hz: float, hop: int) -> None:
-    """Write a spectrogram matrix, one frame per row, bins as columns."""
-    bins = matrix.shape[1] if matrix.ndim == 2 else 0
+def write_spectrogram_csv(path, times: np.ndarray, matrix: np.ndarray) -> None:
+    """Write a spectrogram, one frame per row: its index, its time, then its bins."""
+    bins = matrix.shape[1]
     header = ["frame", "t"] + [f"bin_{k}" for k in range(bins)]
-    frame = np.arange(len(matrix))
     _write_rows(
         path,
         ",".join(header) + "\n",
         "%d,%.6g" + ",%.6g" * bins + "\n",
-        [frame, frame * hop / sample_rate_hz, *matrix.T],
+        [np.arange(len(matrix)), times, *matrix.T],
     )

@@ -553,12 +553,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for result in report.methods:
         csvio.write_profile_csv(out / f"profile_{result.method}.csv", result.profile)
-        csvio.write_signal_csv(
-            out / f"beat_{result.method}.csv",
-            result.beat.samples,
-            result.beat.sample_rate_hz,
-            csvio.spec_meta(result.beat.spec),
-        )
+        csvio.write_signal_csv(out / f"beat_{result.method}.csv", result.beat)
     for name, (header, rows) in report.tables.items():
         csvio.write_table_csv(out / f"{name}.csv", header, rows)
 

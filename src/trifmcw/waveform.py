@@ -263,27 +263,24 @@ def _synthesize(spec: WaveformSpec) -> np.ndarray:
     return samples
 
 
-def spectrogram(sig: ComplexSignal, window_len: int, hop: int) -> np.ndarray:
+def spectrogram(sig: ComplexSignal) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed power spectrogram, one row per frame.
 
-    Frame ``i`` covers samples ``[i*hop, i*hop + window_len)``. Plotting aid
-    only; no quantitative path uses it.
+    The window is Nc/16 samples and the hop half a window, each at least one
+    sample; the window never exceeds the signal, which holds at least Nc
+    samples. Frame ``i`` covers samples ``[i*hop, i*hop + window_len)``.
+    Plotting aid only; no quantitative path uses it.
 
     Returns:
-        (num_frames, window_len) array of squared-magnitude DFT values.
+        (times, matrix): each frame's start time ``i*hop/fs`` in seconds, and
+        the (num_frames, window_len) array of squared-magnitude DFT values.
     """
-    n = len(sig)
-    if window_len < 1 or window_len > n:
-        raise ValueError(
-            f"window_len must satisfy 1 <= window_len <= {n}, got {window_len}"
-        )
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
-
+    window_len = max(1, sig.spec.samples_per_chirp // 16)
+    hop = max(1, window_len // 2)
     win = np.hanning(window_len)
-    frames = (n - window_len) // hop + 1
+    frames = (len(sig) - window_len) // hop + 1
     out = np.empty((frames, window_len), dtype=np.float64)
     for i in range(frames):
         frame = sig.samples[i * hop : i * hop + window_len] * win
         out[i] = np.abs(np.fft.fft(frame)) ** 2
-    return out
+    return np.arange(frames) * hop / sig.sample_rate_hz, out

@@ -127,9 +127,7 @@ def test_profile_of_analytic_beat_peaks_at_p(tmp_path):
     spec = WaveformSpec(WaveformKind.TRIANGLE, 8000.0, 0.1)
     beat = analytic_beat(spec, 10 / 16000.0)
     beat_csv = tmp_path / "beat.csv"
-    write_signal_csv(beat_csv, beat.samples, 16000.0,
-                     {"kind": "triangle", "bandwidth": 8000.0, "chirp": 0.1,
-                      "f0": 0.0, "fs": 16000.0})
+    write_signal_csv(beat_csv, beat)
     out = tmp_path / "out"
     assert run("profile", str(beat_csv), "--out", str(out)) == 0
     peaks = read_lines(out / "peaks.csv")[1:]
@@ -273,7 +271,7 @@ def _drop_last_row(text):
      ["metadata bandwidth='abc'"]),
     (lambda text: text.replace("# kind=triangle\n", "# kind=bogus\n"), ["metadata kind='bogus'"]),
     (lambda text: text.replace("# fs=16000.0\n", "# fs=nan\n"), ["metadata fs='nan'"]),
-    (_drop_last_row, ["3199 sample rows", "needs 3200"]),
+    (_drop_last_row, ["(3199,)", "3200 samples"]),
     (lambda text: text.replace("# f0=0.0\n", "# f0=500\n"), ["metadata f0='500' is not 0"]),
     (lambda text: text.replace("# f0=0.0\n", "# f0=abc\n"), ["metadata f0='abc'"]),
 ], ids=["bandwidth", "kind", "fs", "one_row_short", "f0_nonzero", "f0_abc"])

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_waveform import linear_spec
 
-from trifmcw import ConfigError, Peak, PeakSet, RangeProfile
+from trifmcw import ComplexSignal, ConfigError, Peak, PeakSet, RangeProfile
 from trifmcw.csvio import (
     _BLOCK_ROWS,
     _CHUNK_CHARS,
@@ -28,11 +29,11 @@ def test_signal_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(5)
     samples = rng.normal(size=64) + 1j * rng.normal(size=64)
     path = tmp_path / "sig.csv"
-    write_signal_csv(path, samples, 16000.0, {"kind": "triangle", "fs": 16000.0})
+    write_signal_csv(path, ComplexSignal(samples, linear_spec(64, 16000.0)))
     back, meta = read_signal_csv(path)
     np.testing.assert_array_equal(back, samples)  # bit-for-bit via 17 digits
-    assert meta["kind"] == "triangle"
-    assert float(meta["fs"]) == 16000.0
+    assert meta == {"kind": "linear", "bandwidth": "8000.0", "chirp": "0.004",
+                    "f0": "0.0", "fs": "16000.0"}
 
 
 def test_read_rejects_out_of_order_rows(tmp_path):
@@ -57,6 +58,24 @@ def test_read_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
     path.write_bytes(newline.join(lines).encode() + newline.encode() + b"\xff\n")
     with pytest.raises(ConfigError, match=r"bad.csv:4003: not UTF-8 text .* 0xff"):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_read_of_a_file_with_a_byte_order_mark_matches_its_twin(tmp_path, newline):
+    rng = np.random.default_rng(11)
+    samples = rng.normal(size=40) + 1j * rng.normal(size=40)
+    plain = tmp_path / "plain.csv"
+    write_signal_csv(plain, ComplexSignal(samples, linear_spec(40, 16000.0)))
+    text = plain.read_text()
+    for body in (text, text.replace("n,t,re,im\n", "n,t,re,im\n# x=1\n")):  # numpy, loop
+        plain.write_bytes(body.replace("\n", newline).encode())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert _read_outcome(read_signal_csv, bom) == _read_outcome(read_signal_csv, plain)
+    # A byte that is not UTF-8 still names its line past the mark.
+    bom.write_bytes(b"\xef\xbb\xbf# fs=1\nn,t,re,im\n0,0,1,0\n\xff\n")
+    with pytest.raises(ConfigError, match=r"bom.csv:4: not UTF-8 text .* 0xff"):
+        read_signal_csv(bom)
 
 
 def test_read_rejects_empty_file(tmp_path):
@@ -96,12 +115,10 @@ def _reference_write_peaks_csv(path, peaks):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _reference_write_spectrogram_csv(path, matrix, sample_rate_hz, hop):
-    bins = matrix.shape[1] if matrix.ndim == 2 else 0
-    header = ["frame", "t"] + [f"bin_{k}" for k in range(bins)]
+def _reference_write_spectrogram_csv(path, times, matrix):
+    header = ["frame", "t"] + [f"bin_{k}" for k in range(matrix.shape[1])]
     lines = [",".join(header)]
-    for i, row in enumerate(matrix):
-        t = i * hop / sample_rate_hz
+    for i, (t, row) in enumerate(zip(times, matrix)):
         lines.append(",".join([str(i), fmt(t)] + [fmt(v) for v in row]))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -180,21 +197,22 @@ def _assert_same_bytes(tmp_path, write, reference, *args):
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("n", WRITER_LENGTHS)
+def _linear_meta(n, fs):
+    """The metadata a signal on ``linear_spec(n, fs)`` writes."""
+    return {"kind": "linear", "bandwidth": fs / 2, "chirp": n / fs, "f0": 0.0, "fs": fs}
+
+
+@pytest.mark.parametrize("n", [n for n in WRITER_LENGTHS if n > 0])
 def test_write_signal_csv_matches_reference_loop(tmp_path, n):
     rng = np.random.default_rng(n)
     samples = _edge_column(rng, n) + 1j * _edge_column(rng, n)
-    meta = {"kind": "triangle", "bandwidth": 8000.0, "fs": 16000.0}
-    for fs in (16000.0, 3.0, 0.1, 1e-11):
-        _assert_same_bytes(tmp_path, write_signal_csv, _reference_write_signal_csv,
-                           samples, fs, meta)
-    # Real-valued and single-precision samples render as in the reference too.
-    _assert_same_bytes(tmp_path, write_signal_csv, _reference_write_signal_csv,
-                       samples.real, 16000.0, {})
-    with np.errstate(over="ignore"):  # huge values become inf in single precision
-        single = samples.astype(np.complex64)
-    _assert_same_bytes(tmp_path, write_signal_csv, _reference_write_signal_csv,
-                       single, 16000.0, {})
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    # Real-valued samples render as in the reference too, with a zero im column.
+    for values, fs in [(samples, fs) for fs in (16000.0, 3.0, 0.1, 1e-11)] + [
+            (samples.real, 16000.0)]:
+        write_signal_csv(got, ComplexSignal(values, linear_spec(n, fs)))
+        _reference_write_signal_csv(want, values, fs, _linear_meta(n, fs))
+        assert got.read_bytes() == want.read_bytes(), fs
 
 
 @pytest.mark.parametrize("n", [n for n in WRITER_LENGTHS if n > 0])
@@ -225,10 +243,10 @@ def test_write_peaks_csv_matches_reference_loop(tmp_path, n):
 def test_write_spectrogram_csv_matches_reference_loop(tmp_path, n):
     rng = np.random.default_rng(300 + n)
     for bins in (0, 1, 7):
+        times = _edge_column(rng, n)
         matrix = _edge_column(rng, n * bins).reshape(n, bins)
-        for fs, hop in ((16000.0, 12), (0.1, 1), (3.0, 10**6)):
-            _assert_same_bytes(tmp_path, write_spectrogram_csv,
-                               _reference_write_spectrogram_csv, matrix, fs, hop)
+        _assert_same_bytes(tmp_path, write_spectrogram_csv,
+                           _reference_write_spectrogram_csv, times, matrix)
 
 
 def _set_field(index, value):
@@ -333,7 +351,7 @@ def test_read_signal_csv_matches_reference_loop(tmp_path, mutation):
     rows = 2 * _BLOCK_ROWS + 300
     samples = _edge_column(rng, rows) + 1j * _edge_column(rng, rows)
     clean = tmp_path / "clean.csv"
-    write_signal_csv(clean, samples, 16000.0, {"kind": "triangle", "fs": 16000.0})
+    write_signal_csv(clean, ComplexSignal(samples, linear_spec(rows, 16000.0)))
     head, body = clean.read_text().split("n,t,re,im\n")
     body = body.splitlines()
     edges = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, rows - 1]
@@ -357,7 +375,7 @@ def test_read_signal_csv_matches_reference_on_random_files(tmp_path):
         rows = int(rng.integers(1, 3 * _BLOCK_ROWS))
         samples = _edge_column(rng, rows) + 1j * _edge_column(rng, rows)
         path = tmp_path / "random.csv"
-        write_signal_csv(path, samples, 8000.0, {"trial": trial})
+        write_signal_csv(path, ComplexSignal(samples, linear_spec(rows, 8000.0)))
         head, body = path.read_text().split("n,t,re,im\n")
         lines = body.splitlines()
         for name in rng.choice(names, size=int(rng.integers(0, 4))):
@@ -441,7 +459,7 @@ def test_read_signal_csv_same_outcome_for_other_line_breaks(tmp_path, newline):
     rows = 3 * _BLOCK_ROWS
     samples = _edge_column(rng, rows) + 1j * _edge_column(rng, rows)
     clean = tmp_path / "clean.csv"
-    write_signal_csv(clean, samples, 16000.0, {"kind": "triangle", "fs": 16000.0})
+    write_signal_csv(clean, ComplexSignal(samples, linear_spec(rows, 16000.0)))
     head, body = clean.read_text().split("n,t,re,im\n")
     assert len(head) + len(body) > 2 * _CHUNK_CHARS  # the reader splits several chunks
     for mutation in ("none", "blank_line", "comment", "non_numeric_t", "dropped_row"):

@@ -241,6 +241,16 @@ def test_a_byte_that_is_not_utf8_is_named_by_its_line(tmp_path):
         parse_scenario(path)
 
 
+def test_a_file_with_a_byte_order_mark_parses_like_its_twin(tmp_path):
+    bom = tmp_path / "bom.scn"
+    bom.write_bytes(b"\xef\xbb\xbf" + BASIC.lstrip().encode())
+    assert parse_scenario(bom) == parse_scenario(write_scn(tmp_path, BASIC.lstrip()))
+    # A byte that is not UTF-8 still names its line past the mark.
+    bom.write_bytes(b"\xef\xbb\xbfbandwidth = 8000\nchirp = 0.1\nname = caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bom.scn:3: not UTF-8 text .* 0xe9"):
+        parse_scenario(bom)
+
+
 TAP = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\n"  # the [tap] line is 4
 
 

@@ -169,8 +169,8 @@ def _frame_freqs(matrix, fs, window_len):
 
 def test_spectrogram_constant_signal_all_dc():
     sig = ComplexSignal(np.ones(512, dtype=complex), linear_spec(512, 1000.0))
-    mat = spectrogram(sig, window_len=64, hop=32)
-    assert mat.shape[0] == (512 - 64) // 32 + 1
+    _, mat = spectrogram(sig)  # window Nc/16 = 32, hop 16
+    assert mat.shape == ((512 - 32) // 16 + 1, 32)
     assert np.all(np.argmax(mat, axis=1) == 0)
     assert np.all(np.isfinite(mat.sum(axis=1)))
 
@@ -179,7 +179,8 @@ def test_spectrogram_triangle_rises_then_falls():
     spec = tri_spec()
     sig = generate(spec)
     wl, hop = 100, 50
-    mat = spectrogram(sig, wl, hop)
+    _, mat = spectrogram(sig)
+    assert mat.shape[1] == wl
     freqs = _frame_freqs(mat, FS, wl)
     centers = np.arange(mat.shape[0]) * hop + wl / 2
     t = centers / FS
@@ -196,23 +197,35 @@ def test_spectrogram_sawtooth_resets_at_midpoint():
     spec = WaveformSpec(WaveformKind.SAWTOOTH, B, TC, sample_rate_hz=FS)
     sig = generate(spec)
     wl, hop = 100, 50
-    mat = spectrogram(sig, wl, hop)
+    _, mat = spectrogram(sig)
     freqs = _frame_freqs(mat, FS, wl)
     mid = spec.samples_per_chirp // hop
     assert freqs[mid - 2] > freqs[mid + 1]  # drops back down after the reset
     assert freqs[mid + 4] > freqs[mid + 1]  # and rises again
 
 
-def test_spectrogram_window_longer_than_signal_rejected():
-    sig = ComplexSignal(np.ones(16, dtype=complex), linear_spec(16, 100.0))
-    with pytest.raises(ValueError, match="window_len"):
-        spectrogram(sig, window_len=32, hop=8)
-
-
-def test_spectrogram_hop_must_be_positive():
-    sig = ComplexSignal(np.ones(16, dtype=complex), linear_spec(16, 100.0))
-    with pytest.raises(ValueError, match="hop must be >= 1, got 0"):
-        spectrogram(sig, window_len=8, hop=0)
+@pytest.mark.parametrize("kind, nc, window, hop", [
+    (WaveformKind.LINEAR, 1, 1, 1),
+    (WaveformKind.LINEAR, 2, 1, 1),
+    (WaveformKind.TRIANGLE, 15, 1, 1),
+    (WaveformKind.SAWTOOTH, 16, 1, 1),
+    (WaveformKind.LINEAR, 47, 2, 1),
+    (WaveformKind.GENTLE, 48, 3, 1),
+    (WaveformKind.TRIANGLE, 1600, 100, 50),
+])
+def test_spectrogram_frames_its_chirp(kind, nc, window, hop):
+    # The window is Nc/16 and the hop half a window, each at least one sample.
+    fs = 3.0
+    spec = WaveformSpec(kind, fs / 4, nc / fs, sample_rate_hz=fs)
+    sig = generate(spec)
+    times, mat = spectrogram(sig)
+    frames = (len(sig) - window) // hop + 1
+    assert mat.shape == (frames, window)
+    assert window > 1 or frames == len(sig)  # one frame per sample
+    np.testing.assert_array_equal(times, np.arange(frames) * hop / fs)
+    start = hop * (frames - 1)
+    last = np.abs(np.fft.fft(sig.samples[start:start + window] * np.hanning(window))) ** 2
+    np.testing.assert_array_equal(mat[-1], last)
 
 
 def test_signal_rejects_buffer_off_its_spec_grid():
