@@ -23,7 +23,7 @@ _BLOCK = 1 << 15  # output samples per scaled-copy block in apply_channel
 
 @dataclass(frozen=True)
 class ChannelTap:
-    """One propagation path: delay in seconds and a complex gain."""
+    """One propagation path: a finite delay >= 0 in seconds and a finite complex gain."""
 
     delay_s: float
     gain: complex
@@ -31,6 +31,8 @@ class ChannelTap:
     def __post_init__(self):
         if not math.isfinite(self.delay_s) or self.delay_s < 0:
             raise ValueError(f"tap delay must be finite and >= 0, got {self.delay_s}")
+        if not (math.isfinite(self.gain.real) and math.isfinite(self.gain.imag)):
+            raise ValueError(f"tap gain must be finite, got {self.gain}")
 
 
 @dataclass(frozen=True)

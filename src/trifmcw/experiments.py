@@ -5,12 +5,15 @@ times a set of waveform specs, plus a table of check rows. One runner sends
 every (channel, spec) pair through the waveform/channel/beat/profile
 pipeline; each row, (description, method, check), maps one method's result
 to (passed, measured, bound) and becomes one assertion keyed by the
-acceptance-criterion id it implements. Adding an assertion means adding one
-row. A custom ``.scn`` run goes through the same runner with no rows. The
-two sweeps, which produce tables, keep their own loops. A built-in pins its
-whole setup (band, sample rate, range mapping, threshold, sweep size) and
-takes only a seed; runners are deterministic given it, and the CLI forwards
-their reports to disk.
+acceptance-criterion id it implements. A custom ``.scn`` run goes through the
+same runner with no rows. The two sweeps, which produce tables, keep their
+own loops but not their own assertions: each of their checks, and a tapless
+``.scn`` run's INFO line, is a (description, (passed, measured, bound)) row
+too, so adding an assertion means adding one row in every runner. A built-in
+pins its whole setup (band, sample rate, range mapping, threshold, sweep
+size) and takes only a seed, and its reported band, chirp and sample rate
+are read from a spec it ran; runners are deterministic given the seed, and
+the CLI forwards their reports to disk.
 """
 
 from __future__ import annotations
@@ -127,8 +130,27 @@ def _pipeline(
     return beat, range_profile(beat, mapping)
 
 
-# A check maps one method's result to (passed, measured, bound).
-Check = Callable[[MethodResult], tuple[bool, str, str]]
+# An outcome is (passed, measured, bound); a check maps one method's result to one.
+Outcome = tuple[bool, str, str]
+Check = Callable[[MethodResult], Outcome]
+
+
+def _constants(spec: WaveformSpec, **extra) -> dict:
+    """A built-in's band, chirp and sample rate, read from a spec it ran, then its own keys."""
+    return {
+        "bandwidth_hz": spec.bandwidth_hz,
+        "chirp_s": spec.chirp_duration_s,
+        "sample_rate_hz": spec.sample_rate_hz,
+        **extra,
+    }
+
+
+def _assert(
+    report: ExperimentReport, ac_id: str, rows: Iterable[tuple[str, Outcome]]
+) -> ExperimentReport:
+    """Append one assertion under `ac_id` for each row (description, outcome)."""
+    report.assertions.extend(AssertionResult(ac_id, d, *outcome) for d, outcome in rows)
+    return report
 
 
 def _run(
@@ -146,7 +168,7 @@ def _run(
     A method is named by its waveform kind plus its channel's key; methods
     are listed channel by channel in spec order, and their metrics start with
     the peaks, then the keys of `extra_metrics`. Each row (description,
-    method, check) becomes one assertion under `ac_id`.
+    method, check) becomes one `_assert` row under `ac_id`.
     """
     for suffix, channel in channels.items():
         for spec in specs:
@@ -162,11 +184,7 @@ def _run(
             metrics.update(extra_metrics(result))
             report.methods.append(result)
     by_method = {m.method: m for m in report.methods}
-    for description, method, check in rows:
-        report.assertions.append(
-            AssertionResult(ac_id, description, *check(by_method[method]))
-        )
-    return report
+    return _assert(report, ac_id, ((d, check(by_method[m])) for d, m, check in rows))
 
 
 def _unit_channel(delays) -> ChannelModel:
@@ -212,15 +230,13 @@ def run_four_path(seed: int = 1) -> ExperimentReport:
 
     report = ExperimentReport(
         scenario="four_path",
-        constants={
-            "bandwidth_hz": B,
-            "chirp_s": DESK_CHIRP_S,
-            "sample_rate_hz": specs[0].sample_rate_hz,
-            "speed_mps": DESK_MAPPING.propagation_speed_mps,
-            "round_trip": True,
-            "seed": seed,
-            "true_bins": list(FOUR_PATH_BINS),
-        },
+        constants=_constants(
+            specs[0],
+            speed_mps=DESK_MAPPING.propagation_speed_mps,
+            round_trip=True,
+            seed=seed,
+            true_bins=list(FOUR_PATH_BINS),
+        ),
         ground_truth_ranges_m=truth,
         notes={"alt_triangle_processing": ALT_PROCESSING_PLACEHOLDER},
     )
@@ -285,40 +301,23 @@ def run_sntr_sweep() -> ExperimentReport:
 
     report = ExperimentReport(
         scenario="sntr_sweep",
-        constants={
-            "bandwidth_hz": DESK_BANDWIDTH_HZ,
-            "chirp_s": DESK_CHIRP_S,
-            "sample_rate_hz": spec.sample_rate_hz,
-            "points": len(rows),
-        },
+        constants=_constants(spec, points=len(rows)),
         ground_truth_ranges_m=(),
         tables={"sntr_sweep": (("tau_over_tc", "sntr_db"), rows)},
     )
 
     window = [(x, s) for x, s in rows if 0.01 <= x <= 0.40]
     floor = min(s for _, s in window)
-    report.assertions.append(
-        AssertionResult(
-            "AC-5",
-            "transition-noise ratio stays above the detectability floor",
-            floor >= -7.4,
-            f"min {floor:.2f} dB over tau/Tc in [0.01, 0.40]",
-            ">= -7.4 dB",
-        )
-    )
     worst_rise = max(
         (b - a for (_, a), (_, b) in zip(window, window[1:])), default=0.0
     )
-    report.assertions.append(
-        AssertionResult(
-            "AC-5",
-            "ratio is monotone non-increasing within 1 dB ripple",
-            worst_rise <= 1.0,
-            f"largest rise {worst_rise:.2f} dB between consecutive points",
-            "<= 1 dB",
-        )
-    )
-    return report
+    return _assert(report, "AC-5", [
+        ("transition-noise ratio stays above the detectability floor",
+         (floor >= -7.4, f"min {floor:.2f} dB over tau/Tc in [0.01, 0.40]", ">= -7.4 dB")),
+        ("ratio is monotone non-increasing within 1 dB ripple",
+         (worst_rise <= 1.0, f"largest rise {worst_rise:.2f} dB between consecutive points",
+          "<= 1 dB")),
+    ])
 
 
 NON_INTEGER_RANGES_M = (0.059, 0.082)
@@ -334,18 +333,21 @@ def run_non_integer(seed: int = 1) -> ExperimentReport:
     the two paths. The conventional single-chirp pipeline must not.
     """
     delays = [DESK_MAPPING.range_to_delay(r) for r in NON_INTEGER_RANGES_M]
+    kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
+    specs = [
+        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, sample_rate_hz=NON_INTEGER_FS)
+        for kind in kinds
+    ]
 
     report = ExperimentReport(
         scenario="non_integer",
-        constants={
-            "bandwidth_hz": DESK_BANDWIDTH_HZ,
-            "chirp_s": DESK_CHIRP_S,
-            "sample_rate_hz": NON_INTEGER_FS,
-            "speed_mps": DESK_MAPPING.propagation_speed_mps,
-            "round_trip": True,
-            "seed": seed,
-            "true_p": [2.0 * DESK_BANDWIDTH_HZ * d for d in delays],
-        },
+        constants=_constants(
+            specs[0],
+            speed_mps=DESK_MAPPING.propagation_speed_mps,
+            round_trip=True,
+            seed=seed,
+            true_p=[2.0 * DESK_BANDWIDTH_HZ * d for d in delays],
+        ),
         ground_truth_ranges_m=tuple(NON_INTEGER_RANGES_M),
     )
 
@@ -392,11 +394,6 @@ def run_non_integer(seed: int = 1) -> ExperimentReport:
         ("single-chirp baseline reports fewer or displaced peaks", "linear",
          fewer_or_displaced)
     )
-    kinds = (WaveformKind.LINEAR, WaveformKind.EXTENDED, WaveformKind.TRIANGLE)
-    specs = [
-        WaveformSpec(kind, DESK_BANDWIDTH_HZ, DESK_CHIRP_S, sample_rate_hz=NON_INTEGER_FS)
-        for kind in kinds
-    ]
     return _run(
         report, specs, {"": _unit_channel(delays)}, DESK_MAPPING, COMPARISON_THRESHOLD_DB,
         "AC-7", rows, range_errors,
@@ -467,13 +464,7 @@ def run_spacing_sweep() -> ExperimentReport:
 
     report = ExperimentReport(
         scenario="spacing_sweep",
-        constants={
-            "bandwidth_hz": DESK_BANDWIDTH_HZ,
-            "chirp_s": DESK_CHIRP_S,
-            "sample_rate_hz": SPACING_FS,
-            "fixed_range_m": r_fixed,
-            "positions": positions,
-        },
+        constants=_constants(specs[0], fixed_range_m=r_fixed, positions=positions),
         ground_truth_ranges_m=(r_fixed,),
         tables={"spacing_sweep": (header, rows)},
         notes={
@@ -484,20 +475,18 @@ def run_spacing_sweep() -> ExperimentReport:
     ordering_ok = (
         mean_err["triangle"] < mean_err["sawtooth"] < mean_err["gentle"]
     )
-    report.assertions.append(
-        AssertionResult(
-            "AC-9",
-            "tightest-spacing error ordering triangle < sawtooth < gentle",
-            ordering_ok,
-            ", ".join(
-                f"{name}={mean_err[name] * 100:.3f} cm"
-                for name in ("triangle", "sawtooth", "gentle", "extended")
-            ),
-            "triangle < sawtooth < gentle (mean abs error, tightest "
-            "two-reflector spacings 3/2/1 cm)",
-        )
+    measured = ", ".join(
+        f"{name}={mean_err[name] * 100:.3f} cm"
+        for name in ("triangle", "sawtooth", "gentle", "extended")
     )
-    return report
+    bound = (
+        "triangle < sawtooth < gentle (mean abs error, tightest "
+        "two-reflector spacings 3/2/1 cm)"
+    )
+    return _assert(report, "AC-9", [
+        ("tightest-spacing error ordering triangle < sawtooth < gentle",
+         (ordering_ok, measured, bound)),
+    ])
 
 
 def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
@@ -506,6 +495,8 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
     channel = build_channel(cfg)
     report = ExperimentReport(
         scenario=cfg.name,
+        # Not `_constants`: a .scn's methods may differ in fs (extended runs at
+        # 4B), so the run has no one sample rate to report.
         constants={
             "bandwidth_hz": cfg.specs[0].bandwidth_hz,
             "chirp_s": cfg.specs[0].chirp_duration_s,
@@ -520,16 +511,9 @@ def run_custom(cfg: ScenarioConfig) -> ExperimentReport:
     )
     if len(channel) == 0:
         report.degenerate = True
-        report.assertions.append(
-            AssertionResult(
-                "INFO",
-                "degenerate input: scenario defines no taps",
-                True,
-                "0 taps, 0 peaks",
-                "n/a",
-            )
-        )
-        return report
+        return _assert(report, "INFO", [
+            ("degenerate input: scenario defines no taps", (True, "0 taps, 0 peaks", "n/a")),
+        ])
     return _run(report, cfg.specs, {"": channel}, mapping, cfg.threshold_db)
 
 

@@ -182,6 +182,15 @@ def test_non_finite_tap_delay_rejected(delay):
         ChannelTap(delay, 1.0)
 
 
+@pytest.mark.parametrize(
+    "gain", [complex("nan"), complex("inf"), complex(0, float("inf")), complex(float("nan"), 0)],
+    ids=["nan", "inf", "inf_imag", "nan_real"],
+)
+def test_non_finite_tap_gain_rejected(gain):
+    with pytest.raises(ValueError, match=r"tap gain must be finite, got"):
+        ChannelTap(0.003, gain)
+
+
 def _full_slice_apply_channel(x, delays, gains):
     """Each tap added as one full-length scaled slice, in order of delay."""
     out = np.zeros(x.size, dtype=np.complex128)

@@ -78,6 +78,13 @@ def test_read_of_a_file_with_a_byte_order_mark_matches_its_twin(tmp_path, newlin
         read_signal_csv(bom)
 
 
+def test_a_byte_past_a_byte_order_mark_is_named_by_its_file_offset(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa\r\nb\n\xff\n")  # 0xff is byte 8 of the file
+    with pytest.raises(ConfigError, match=r"bom.csv:3: not UTF-8 text .* 0xff in position 8:"):
+        read_signal_csv(path)
+
+
 def test_read_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

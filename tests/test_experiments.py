@@ -123,6 +123,26 @@ def test_custom_scenario_single_tap():
     assert method(report, "triangle").metrics["peak_bins"] == [10]
 
 
+def _setup(constants):
+    return constants["bandwidth_hz"], constants["chirp_s"], constants["sample_rate_hz"]
+
+
+# A built-in reports the band, chirp and sample rate of the specs it ran.
+@pytest.mark.parametrize("scenario", ["four_path", "non_integer"])
+def test_constants_are_the_fields_of_every_method_spec(scenario):
+    report = run_named_scenario(scenario)
+    for result in report.methods:
+        spec = result.beat.spec
+        assert _setup(report.constants) == (
+            spec.bandwidth_hz, spec.chirp_duration_s, spec.sample_rate_hz
+        ), result.method
+
+
+@pytest.mark.parametrize("scenario, fs", [("sntr_sweep", 16000.0), ("spacing_sweep", 34300.0)])
+def test_sweep_constants_are_the_fields_of_its_specs(scenario, fs):
+    assert _setup(run_named_scenario(scenario).constants) == (8000.0, 0.1, fs)
+
+
 def test_write_outputs_files(tmp_path):
     report = run_four_path(seed=3)
     write_outputs(report, tmp_path)

@@ -251,6 +251,13 @@ def test_a_file_with_a_byte_order_mark_parses_like_its_twin(tmp_path):
         parse_scenario(bom)
 
 
+def test_a_byte_past_a_byte_order_mark_is_named_by_its_file_offset(tmp_path):
+    path = tmp_path / "bom.scn"  # 0xe9 is byte 42 of the file
+    path.write_bytes(b"\xef\xbb\xbfbandwidth = 8000\nchirp = 0.1\nname = caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"bom.scn:3: not UTF-8 text .* 0xe9 in position 42:"):
+        parse_scenario(path)
+
+
 TAP = "bandwidth = 8000\nchirp = 0.1\n\n[tap]\n"  # the [tap] line is 4
 
 
