@@ -700,3 +700,12 @@ def test_one_way_is_no_scn_key_and_no_profile_flag(tmp_path, capsys, four_path_d
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "unrecognized arguments: --one-way" in err
     assert not out.exists()
+
+
+def test_simulate_onto_an_occupied_csv_path_is_one_io_error_line(tmp_path, capsys):
+    occupied = tmp_path / "beat_extended.csv"
+    occupied.mkdir()
+    assert run("simulate", "non_integer", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno 21] Is a directory: '{occupied}'\n"
+    assert not (tmp_path / "report.txt").exists()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -230,3 +231,52 @@ def test_cold_and_warm_waveform_cache_write_the_same_files(tmp_path, monkeypatch
     assert names == sorted(path.name for path in warm.iterdir())
     for name in names:
         assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("scenario", ["four_path", "non_integer"])
+def test_csvs_split_across_a_forked_child_are_the_bytes_of_one_process(
+        tmp_path, monkeypatch, scenario):
+    report = run_named_scenario(scenario, seed=7)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    write_outputs(report, tmp_path / "split")
+    _assert_no_child_left()
+    assert forks == [1]
+    monkeypatch.delattr(os, "fork")
+    write_outputs(report, tmp_path / "one")
+    _assert_no_child_left()
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "split").iterdir())
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def non_integer_report():
+    return run_named_scenario("non_integer")
+
+
+# The rows split linear's and extended's beats to this process and
+# triangle's to the child, so both halves meet the occupied path.
+@pytest.mark.parametrize("method", ["linear", "extended", "triangle"])
+def test_a_failed_csv_write_raises_its_error_and_writes_no_report(
+        tmp_path, non_integer_report, method):
+    occupied = tmp_path / f"beat_{method}.csv"
+    occupied.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_outputs(non_integer_report, tmp_path)
+    assert info.value.filename == str(occupied)
+    _assert_no_child_left()
+    assert not (tmp_path / "report.txt").exists()
+    assert not (tmp_path / "metrics.json").exists()
