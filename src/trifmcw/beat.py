@@ -20,37 +20,20 @@ across the whole symbol: that is what doubles the usable measurement span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import delay_in_samples
 from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
 __all__ = ["mix", "analytic_beat", "phase_consistency"]
 
-# Slack, in samples, when assigning grid points to segment boundaries.
-_EDGE_TOL = 1e-9
-# Largest wrapped phase mismatch, in radians, that still counts as consistent.
+# Largest phase mismatch, in radians, that still counts as consistent.
 _PHASE_TOL = 1e-6
-
-
-def _wrap_to_pi(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = float(np.mod(angle, 2.0 * np.pi))
-    return w - 2.0 * np.pi if w > np.pi else w
-
-
-def _segment_edges(spec: WaveformSpec, tau: float) -> tuple[int, int, int]:
-    """Grid indices where the first, transition and mirrored segments start.
-
-    The mirrored segment runs to the end of the symbol. A sample exactly on
-    a boundary belongs to the later segment's closed start; the comparison
-    carries a small slack so delays specified as rational numbers of
-    seconds hit the intended bin.
-    """
-    n_c = spec.samples_per_chirp
-    start1 = int(np.ceil(tau * spec.sample_rate_hz - _EDGE_TOL))
-    return start1, n_c, n_c + start1
+# Slack, in ulps of p, for the rounding of a tau computed as p/(2B).
+_P_ULPS = 4
 
 
 def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
@@ -63,34 +46,33 @@ def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(beat, tx.spec)
 
 
-def _check_triangle_oracle_args(spec, tau):
+def _require_triangle(spec: WaveformSpec) -> None:
     if spec.kind is not WaveformKind.TRIANGLE:
         raise ValueError(f"oracle requires a triangle spec, got {spec.kind.value}")
-    if not 0.0 <= tau < spec.chirp_duration_s:
-        raise ValueError(
-            f"tau must satisfy 0 <= tau < Tc={spec.chirp_duration_s}, got {tau}"
-        )
 
 
 def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     """Closed-form triangle beat for a unit-gain path at delay `tau`.
 
     Evaluates the three-segment expression on the sample grid, zero before
-    the echo arrives. Matches ``mix(generate(spec), apply_channel(...))``
-    samplewise for grid-aligned tau.
+    the echo arrives at sample m. `tau` is a tap delay as ``apply_channel``
+    takes it: ``channel.delay_in_samples`` gives m, or refuses a delay off
+    the grid or beyond the up ramp. The segments start at m, Nc and Nc+m,
+    and the beat matches ``mix(generate(spec), apply_channel(...))``
+    samplewise.
     """
-    _check_triangle_oracle_args(spec, tau)
+    _require_triangle(spec)
+    m = delay_in_samples(tau, spec)
+    n_c = spec.samples_per_chirp
     a = spec.slope
     B = spec.bandwidth_hz
     tc = spec.chirp_duration_s
-    n = np.arange(spec.num_samples)
-    t = n / spec.sample_rate_hz
-    start1, start2, start3 = _segment_edges(spec, tau)
+    t = np.arange(spec.num_samples) / spec.sample_rate_hz
 
-    phase = np.zeros(n.size, dtype=np.float64)
-    s1 = slice(start1, start2)
-    s2 = slice(start2, start3)
-    s3 = slice(start3, None)
+    phase = np.zeros(t.size, dtype=np.float64)
+    s1 = slice(m, n_c)
+    s2 = slice(n_c, n_c + m)
+    s3 = slice(n_c + m, None)
     phase[s1] = np.pi * (-2.0 * a * tau * t[s1] + a * tau**2)
     phase[s2] = np.pi * (
         2.0 * a * t[s2] ** 2
@@ -101,7 +83,7 @@ def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
     phase[s3] = np.pi * (2.0 * a * tau * t[s3] - 4.0 * B * tau - a * tau**2)
 
     out = np.exp(1j * phase)
-    out[:start1] = 0.0
+    out[:m] = 0.0
     return ComplexSignal(out, spec)
 
 
@@ -114,18 +96,24 @@ class PhaseConsistency:
 
 
 def phase_consistency(spec: WaveformSpec, tau: float) -> PhaseConsistency:
-    """Compare the third segment's start phase against the extended tone.
+    """Whether p = 2*B*tau is an integer: seg3 then continues seg1's tone.
 
-    phi_seg3_start = pi*(a*tau^2 - 2*B*tau) is the beat phase just after
-    Tc+tau; phi_extended = pi*(-a*tau^2 - 2*B*tau) is where the first
-    segment's tone would have arrived at the same instant. The real parts
-    line up when the two are negatives of each other, i.e. when the wrapped
-    sum is zero -- which happens exactly at tau = p/(2B) with integer p.
+    The beat phase just after Tc+tau, pi*(a*tau^2 - 2*B*tau), and the phase
+    the first segment's tone would have there, pi*(-a*tau^2 - 2*B*tau), sum
+    to -2*pi*p: the a*tau^2 terms cancel, so the real parts line up exactly
+    when p is an integer. The mismatch is that sum wrapped to (-pi, pi],
+    2*pi*(round(p) - p), so a half offset is +pi. Read from p itself rather
+    than from two phases of size pi*a*tau^2, it stays exact at any B*Tc; p
+    counts as an integer within _PHASE_TOL rad or a few ulps of p, the
+    rounding of tau = p/(2B). tau need not be on the sample grid.
     """
-    _check_triangle_oracle_args(spec, tau)
-    a = spec.slope
-    B = spec.bandwidth_hz
-    phi_seg3 = _wrap_to_pi(np.pi * (a * tau**2 - 2.0 * B * tau))
-    phi_ext = _wrap_to_pi(np.pi * (-a * tau**2 - 2.0 * B * tau))
-    mismatch = _wrap_to_pi(phi_seg3 + phi_ext)
-    return PhaseConsistency(mismatch, abs(mismatch) < _PHASE_TOL)
+    _require_triangle(spec)
+    if not 0.0 <= tau < spec.chirp_duration_s:
+        raise ValueError(
+            f"tau must satisfy 0 <= tau < Tc={spec.chirp_duration_s}, got {tau}"
+        )
+    p = 2.0 * spec.bandwidth_hz * tau
+    offset = round(p) - p
+    mismatch = np.pi if offset == -0.5 else 2.0 * np.pi * offset
+    slack = max(_PHASE_TOL / (2.0 * np.pi), _P_ULPS * math.ulp(p))
+    return PhaseConsistency(mismatch, abs(offset) <= slack)

@@ -13,7 +13,6 @@ from trifmcw import (
     mix,
     phase_consistency,
 )
-from trifmcw.beat import _wrap_to_pi
 
 B = 8000.0
 TC = 0.1
@@ -195,9 +194,12 @@ def test_phase_consistency_tau_zero():
 
 
 def test_phase_consistency_half_offset_is_pi():
-    res = phase_consistency(SPEC, tap_of(5.5))
-    assert not res.consistent
-    assert abs(abs(res.mismatch) - np.pi) < 1e-9
+    # the mismatch lies in (-pi, pi]; round-half-even puts 5.5 and 6.5 on
+    # opposite sides of their nearest integer, and both give +pi
+    for p in (5.5, 6.5):
+        res = phase_consistency(SPEC, tap_of(p))
+        assert not res.consistent
+        assert res.mismatch == np.pi
 
 
 def test_consistency_iff_integer_p_sweep():
@@ -205,6 +207,14 @@ def test_consistency_iff_integer_p_sweep():
         assert phase_consistency(SPEC, tap_of(p)).consistent
         for frac in (0.25, 0.5, 0.9):
             assert not phase_consistency(SPEC, tap_of(p - frac)).consistent
+    # B*Tc = 1e9, 1e10, 1e11: pi*a*tau^2 is far larger than the mismatch, so
+    # only a test that reads p = 2B*tau itself keeps every integer p (specs
+    # only, no signal is generated)
+    for b, tc in ((1e5, 1e4), (1e5, 1e5), (1e6, 1e5)):
+        spec = WaveformSpec(WaveformKind.TRIANGLE, b, tc)
+        for p in np.round(np.linspace(1, spec.samples_per_chirp - 1, 998)):
+            assert phase_consistency(spec, p / (2 * b)).consistent
+            assert not phase_consistency(spec, (p - 0.5) / (2 * b)).consistent
 
 
 def test_reference_beat_tau_zero_is_one():
@@ -241,15 +251,6 @@ def test_reference_extended_pipeline_equivalence():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_wrap_to_pi_half_open_interval():
-    assert _wrap_to_pi(0.0) == 0.0
-    assert _wrap_to_pi(np.pi) == np.pi  # pi stays pi in (-pi, pi]
-    assert _wrap_to_pi(-np.pi) == np.pi
-    assert _wrap_to_pi(3 * np.pi) == pytest.approx(np.pi)
-    assert _wrap_to_pi(2 * np.pi + 0.1) == pytest.approx(0.1)
-    assert _wrap_to_pi(-0.1 - 2 * np.pi) == pytest.approx(-0.1)
-
-
 @pytest.mark.parametrize("f0, p", [(500.0, 48), (1234.0, 300)])
 def test_start_frequency_is_a_tap_gain_rotation(f0, p):
     # A sweep from f0 rather than 0 Hz turns the beat of a path at delay tau
@@ -276,5 +277,7 @@ def test_oracle_requires_triangle_and_tau_below_tc():
     lin = WaveformSpec(WaveformKind.LINEAR, B, TC)
     with pytest.raises(ValueError, match="triangle"):
         analytic_beat(lin, tap_of(4))
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match="beyond the triangle up ramp"):
         analytic_beat(SPEC, TC)
+    with pytest.raises(ValueError, match="off the grid"):
+        analytic_beat(SPEC, tap_of(4.5))

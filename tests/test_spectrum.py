@@ -239,8 +239,10 @@ def test_single_real_tap_listed_alone_only_below_x_0218():
 
 
 def test_straddling_tap_detected_between_bins():
+    # a half-bin tap, p = 20.5, lies on the grid of fs = 4B
     p = 20
-    beat = analytic_beat(SPEC, (p + 0.5) / (2 * B))
+    spec = WaveformSpec(WaveformKind.TRIANGLE, B, TC, sample_rate_hz=4 * B)
+    beat = channel_beat(spec, [(tap_of(p + 0.5), 1.0)])
     profile = range_profile(beat, MAP)
     argmax = int(np.argmax(profile.bin_power))
     assert argmax in (p, p + 1)
