@@ -1,8 +1,15 @@
-"""Beat-signal derivation, the closed-form three-segment oracle, and the
-phase-consistency check for the triangle waveform.
+"""Beat-signal derivation, the closed-form oracle for every waveform kind,
+and the phase-consistency check for the triangle waveform.
 
-Mixing the received signal against the conjugate transmit produces, for a
-triangle waveform and a single path delay tau, three segments:
+Mixing the received signal against the conjugate transmit gives, for a
+single path delay tau, one segment per pair of an echo piece i and a
+transmit piece j of ``waveform.phase_pieces``: where the echo of piece i,
+tau late, overlaps piece j, the beat is exp(j*(phi_i(t - tau) - phi_j(t))).
+Before the echo arrives it is zero.
+
+The triangle's pieces are the up ramp and its phase-continuous mirrored
+down ramp. Three pairs overlap: the up echo against the up ramp, the up
+echo against the down ramp, and the down echo against the down ramp:
 
     (tau,      Tc]      exp(j*pi*(-2*a*tau*t + a*tau^2))
     (Tc,       Tc+tau]  exp(j*pi*(2*a*t^2 - (4B + 2*a*tau)*t + a*tau^2 + 2*B*Tc))
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import delay_in_samples
-from .waveform import ComplexSignal, WaveformKind, WaveformSpec
+from .waveform import ComplexSignal, WaveformKind, WaveformSpec, phase_pieces
 
 __all__ = ["mix", "analytic_beat", "phase_consistency"]
 
@@ -46,42 +53,30 @@ def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
     return ComplexSignal(beat, tx.spec)
 
 
-def _require_triangle(spec: WaveformSpec) -> None:
-    if spec.kind is not WaveformKind.TRIANGLE:
-        raise ValueError(f"oracle requires a triangle spec, got {spec.kind.value}")
-
-
 def analytic_beat(spec: WaveformSpec, tau: float) -> ComplexSignal:
-    """Closed-form triangle beat for a unit-gain path at delay `tau`.
+    """Closed-form beat of any kind for a unit-gain path at delay `tau`.
 
-    Evaluates the three-segment expression on the sample grid, zero before
-    the echo arrives at sample m. `tau` is a tap delay as ``apply_channel``
-    takes it: ``channel.delay_in_samples`` gives m, or refuses a delay off
-    the grid or beyond the up ramp. The segments start at m, Nc and Nc+m,
-    and the beat matches ``mix(generate(spec), apply_channel(...))``
-    samplewise.
+    Evaluates one segment per pair of (echo piece i, transmit piece j) of
+    :func:`waveform.phase_pieces` on the sample grid, zero before the echo
+    arrives at sample m. `tau` is a tap delay as ``apply_channel`` takes it:
+    ``channel.delay_in_samples`` gives m, or refuses a delay off the grid or
+    beyond its window. The beat matches ``mix(generate(spec),
+    apply_channel(...))`` samplewise.
     """
-    _require_triangle(spec)
     m = delay_in_samples(tau, spec)
-    n_c = spec.samples_per_chirp
-    a = spec.slope
-    B = spec.bandwidth_hz
-    tc = spec.chirp_duration_s
     t = np.arange(spec.num_samples) / spec.sample_rate_hz
-
     phase = np.zeros(t.size, dtype=np.float64)
-    s1 = slice(m, n_c)
-    s2 = slice(n_c, n_c + m)
-    s3 = slice(n_c + m, None)
-    phase[s1] = np.pi * (-2.0 * a * tau * t[s1] + a * tau**2)
-    phase[s2] = np.pi * (
-        2.0 * a * t[s2] ** 2
-        - (4.0 * B + 2.0 * a * tau) * t[s2]
-        + a * tau**2
-        + 2.0 * B * tc
-    )
-    phase[s3] = np.pi * (2.0 * a * tau * t[s3] - 4.0 * B * tau - a * tau**2)
-
+    pieces = phase_pieces(spec)
+    for start_i, stop_i, s_i, a2, a1, a0 in pieces:
+        d = tau + s_i
+        for start_j, stop_j, s_j, b2, b1, b0 in pieces:
+            # phi_i(t - tau) - phi_j(t), expanded in t so that no two large
+            # phases cancel as they do in mix
+            q2 = a2 - b2
+            q1 = -2.0 * a2 * d + a1 + 2.0 * b2 * s_j - b1
+            q0 = a2 * d**2 - a1 * d + a0 - b2 * s_j**2 + b1 * s_j - b0
+            seg = slice(max(start_i + m, start_j), min(stop_i + m, stop_j))
+            phase[seg] = (q2 * t[seg] + q1) * t[seg] + q0
     out = np.exp(1j * phase)
     out[:m] = 0.0
     return ComplexSignal(out, spec)
@@ -107,7 +102,8 @@ def phase_consistency(spec: WaveformSpec, tau: float) -> PhaseConsistency:
     counts as an integer within _PHASE_TOL rad or a few ulps of p, the
     rounding of tau = p/(2B). tau need not be on the sample grid.
     """
-    _require_triangle(spec)
+    if spec.kind is not WaveformKind.TRIANGLE:
+        raise ValueError(f"phase_consistency requires a triangle spec, got {spec.kind.value}")
     if not 0.0 <= tau < spec.chirp_duration_s:
         raise ValueError(
             f"tau must satisfy 0 <= tau < Tc={spec.chirp_duration_s}, got {tau}"

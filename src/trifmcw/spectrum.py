@@ -10,6 +10,7 @@ test, and a window would mask it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,17 @@ def detect_peaks(
     return PeakSet(peaks)
 
 
+def _check_bin(p: int, top: int) -> int:
+    """`p` as an int, or ValueError unless it is an integer bin in 0..top."""
+    try:
+        k = operator.index(p)
+    except TypeError:
+        raise ValueError(f"bin {p!r} is not an integer") from None
+    if not 0 <= k <= top:
+        raise ValueError(f"bin {k} outside the profile range 0..{top}")
+    return k
+
+
 def energy_dominance(beat: ComplexSignal, p: int) -> float:
     """Fraction of the real-part signal energy held by the +/-p bin pair.
 
@@ -237,8 +249,7 @@ def energy_dominance(beat: ComplexSignal, p: int) -> float:
     """
     real = np.real(beat.samples)
     n = real.size
-    if not 0 <= p <= n // 2:
-        raise ValueError(f"bin {p} outside the profile range 0..{n // 2}")
+    p = _check_bin(p, n // 2)
     total = n * float(np.sum(real**2))
     if total == 0.0:
         return 0.0
@@ -256,8 +267,7 @@ def sntr(profile: RangeProfile, true_p: int) -> float:
     every off-peak bin is exactly zero.
     """
     power = profile.bin_power
-    if not 0 <= true_p < power.size:
-        raise ValueError(f"bin {true_p} outside the profile range 0..{power.size - 1}")
+    true_p = _check_bin(true_p, power.size - 1)
     mask = np.ones(power.size, dtype=bool)
     mask[max(0, true_p - GUARD_BINS) : true_p + GUARD_BINS + 1] = False
     if not mask.any():

@@ -237,24 +237,41 @@ def generate(spec: WaveformSpec) -> ComplexSignal:
     return sig
 
 
+def phase_pieces(spec: WaveformSpec) -> tuple[tuple[int, int, float, float, float, float], ...]:
+    """The transmit phase of `spec` as pieces ``(start, stop, s, c2, c1, c0)``.
+
+    On samples ``start <= n < stop`` the phase is ``c2*u^2 + c1*u + c0`` at
+    ``u = t - s``, ``t = n/fs``. The second chirp of a two-part waveform runs
+    on local time ``t - Tc``: the sawtooth restarts at phase zero, and the
+    triangle's down ramp continues from the up ramp's phase pi*alpha*Tc^2
+    while its frequency mirrors from B back to 0. This is the one statement
+    of each kind's phase: synthesis and ``beat.analytic_beat`` both read it.
+    """
+    rate = np.pi * spec.effective_slope
+    up = (0, spec.samples_per_chirp, 0.0, rate, 0.0, 0.0)
+    if spec.kind is WaveformKind.TRIANGLE:
+        second = (-rate, 2.0 * np.pi * spec.bandwidth_hz, rate * spec.chirp_duration_s**2)
+    elif spec.kind is WaveformKind.SAWTOOTH:
+        second = (rate, 0.0, 0.0)
+    else:
+        return ((0, spec.num_samples, 0.0, rate, 0.0, 0.0),)
+    return (up, (spec.samples_per_chirp, spec.num_samples, spec.chirp_duration_s, *second))
+
+
 def _synthesize(spec: WaveformSpec) -> np.ndarray:
     """Fresh samples of the waveform :func:`generate` describes."""
     t = np.arange(spec.num_samples, dtype=np.float64) / spec.sample_rate_hz
-    if spec.kind in (WaveformKind.TRIANGLE, WaveformKind.SAWTOOTH):
-        # The second chirp runs on local time: the sawtooth restarts at phase
-        # zero, the triangle's down ramp continues from the up ramp's end.
-        t[spec.samples_per_chirp:] -= spec.chirp_duration_s
-    phase = np.square(t)
-    phase *= np.pi * spec.effective_slope
-    if spec.kind is WaveformKind.TRIANGLE:
-        # The down ramp continues from the up ramp's phase at Tc, and its
-        # frequency mirrors from B back to 0. In place, on t - Tc:
-        #   phi = pi*alpha*Tc^2 + 2*pi*B*(t-Tc) - pi*alpha*(t-Tc)^2
-        nc = spec.samples_per_chirp
-        t_down = t[nc:]
-        t_down *= 2.0 * np.pi * spec.bandwidth_hz
-        t_down += np.pi * spec.slope * spec.chirp_duration_s**2
-        np.subtract(t_down, phase[nc:], out=phase[nc:])
+    phase = np.empty(spec.num_samples, dtype=np.float64)
+    for start, stop, s, c2, c1, c0 in phase_pieces(spec):
+        # In place on u = t - s, as (u*c1 + c0) + c2*(u*u): the sha256 pins
+        # of the outputs hold this float order.
+        u, piece = t[start:stop], phase[start:stop]
+        u -= s
+        np.square(u, out=piece)
+        piece *= c2
+        u *= c1
+        u += c0
+        piece += u
     # cos and sin written straight into one complex array give the bits of
     # np.exp(1j * phase) without its complex temporaries.
     samples = np.empty(spec.num_samples, dtype=np.complex128)

@@ -92,35 +92,36 @@ def test_oracle_matches_mix_at_p4():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_oracle_matches_mix_randomized():
-    # the closed form must track the mixed product for any grid delay,
-    # odd or even p included (the transition constant depends on it)
+def _random_tap(rng, kind, nc, mult):
+    """A spec of `kind` with Nc = nc at `mult` times its minimum sample rate, and a tap in its window."""
+    b = float(rng.uniform(500, 16000))
+    fs = mult * 2 * b * (2 if kind is WaveformKind.EXTENDED else 1)
+    spec = WaveformSpec(kind, b, nc / fs, sample_rate_hz=fs)
+    window = nc if kind is WaveformKind.TRIANGLE else spec.num_samples
+    return spec, int(rng.integers(0, window)) / fs
+
+
+@pytest.mark.parametrize("kind", list(WaveformKind), ids=lambda k: k.value)
+def test_oracle_matches_mix_randomized(kind):
+    # the closed form must track the mixed product for any grid delay in the
+    # tap window, odd or even p included (the triangle's transition constant
+    # depends on it)
     rng = np.random.default_rng(99)
     for _ in range(25):
-        nc = int(rng.integers(64, 2048))
-        b = float(rng.uniform(500, 16000))
-        fs = 2 * b
-        tc = nc / fs
-        spec = WaveformSpec(WaveformKind.TRIANGLE, b, tc, sample_rate_hz=fs)
-        p = int(rng.integers(0, nc // 2))
-        tau = p / (2 * b)
+        spec, tau = _random_tap(rng, kind, int(rng.integers(64, 2048)), 1.0)
         got = mixed_beat(spec, tau).samples
         want = analytic_beat(spec, tau).samples
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_oracle_matches_mix_oversampled_and_fractional_p():
-    # oversampled grids allow delays between the 1/(2B) points; the closed
-    # form must track the product there too
+@pytest.mark.parametrize("kind", list(WaveformKind), ids=lambda k: k.value)
+def test_oracle_matches_mix_oversampled_and_fractional_p(kind):
+    # oversampled grids, up to 3x the minimum rate, allow delays between the
+    # 1/(2B) points; the closed form must track the product there too
     rng = np.random.default_rng(7)
     for _ in range(15):
-        nc_base = int(rng.integers(50, 800))
-        b = float(rng.uniform(800, 12000))
-        mult = int(rng.choice([2, 4, 8]))
-        fs = mult * b
-        nc = nc_base * mult
-        spec = WaveformSpec(WaveformKind.TRIANGLE, b, nc / fs, sample_rate_hz=fs)
-        tau = int(rng.integers(0, nc // 2)) / fs
+        nc, mult = int(rng.integers(64, 4096)), float(rng.uniform(1.0, 3.0))
+        spec, tau = _random_tap(rng, kind, nc, mult)
         got = mixed_beat(spec, tau).samples
         want = analytic_beat(spec, tau).samples
         assert np.max(np.abs(got - want)) < 1e-9
@@ -191,6 +192,12 @@ def test_phase_consistency_integer_p():
 def test_phase_consistency_tau_zero():
     res = phase_consistency(SPEC, 0.0)
     assert res.consistent and res.mismatch == 0.0
+
+
+def test_phase_consistency_names_itself_on_a_non_triangle():
+    lin = WaveformSpec(WaveformKind.LINEAR, B, TC)
+    with pytest.raises(ValueError, match="^phase_consistency requires a triangle spec, got linear$"):
+        phase_consistency(lin, tap_of(4))
 
 
 def test_phase_consistency_half_offset_is_pi():
@@ -274,9 +281,11 @@ def test_start_frequency_is_a_tap_gain_rotation(f0, p):
 
 
 def test_oracle_requires_triangle_and_tau_below_tc():
+    # the oracle takes the taps apply_channel takes: below Tc on the
+    # triangle, inside the signal on every other kind, and on the grid
     lin = WaveformSpec(WaveformKind.LINEAR, B, TC)
-    with pytest.raises(ValueError, match="triangle"):
-        analytic_beat(lin, tap_of(4))
+    with pytest.raises(ValueError, match="beyond the linear signal length"):
+        analytic_beat(lin, lin.num_samples / lin.sample_rate_hz)
     with pytest.raises(ValueError, match="beyond the triangle up ramp"):
         analytic_beat(SPEC, TC)
     with pytest.raises(ValueError, match="off the grid"):

@@ -93,18 +93,24 @@ def test_simulate_off_grid_tap_names_tap_and_suggests_fs(tmp_path, capsys):
     assert "tap 0" in err and "set fs so that" in err
 
 
-def test_profile_round_trip_matches_simulate(tmp_path):
-    sim_out = tmp_path / "sim"
-    assert run("simulate", "four_path", "--out", str(sim_out)) == 0
+@pytest.mark.parametrize("scenario, method", [
+    ("four_path", "triangle_det"), ("four_path", "sawtooth_det"), ("four_path", "gentle_det"),
+    ("four_path", "triangle_rayleigh"), ("four_path", "sawtooth_rayleigh"),
+    ("four_path", "gentle_rayleigh"), ("non_integer", "triangle"),
+    ("non_integer", "extended"), ("non_integer", "linear"),
+])
+def test_profile_round_trip_matches_simulate(request, tmp_path, scenario, method):
+    # four_path and non_integer write a beat of every kind
+    sim_out = request.getfixturevalue(f"{scenario}_dir")
     prof_out = tmp_path / "prof"
-    assert run("profile", str(sim_out / "beat_triangle_det.csv"),
-               "--out", str(prof_out)) == 0
+    assert run("profile", str(sim_out / f"beat_{method}.csv"), "--out", str(prof_out)) == 0
     assert (prof_out / "profile.csv").read_bytes() == (
-        sim_out / "profile_triangle_det.csv"
+        sim_out / f"profile_{method}.csv"
     ).read_bytes()
-    peaks = read_lines(prof_out / "peaks.csv")
-    assert peaks[0] == "bin_p,range_m,power"
-    assert [int(r.split(",")[0]) for r in peaks[1:]] == [48, 50, 56, 57]
+    if method == "triangle_det":
+        peaks = read_lines(prof_out / "peaks.csv")
+        assert peaks[0] == "bin_p,range_m,power"
+        assert [int(r.split(",")[0]) for r in peaks[1:]] == [48, 50, 56, 57]
 
 
 def test_profile_constant_beat_dc_peak(tmp_path):
@@ -259,6 +265,13 @@ def test_profile_of_truncated_beat_names_both_lengths(tmp_path, capsys):
 def four_path_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("four_path")
     assert run("simulate", "four_path", "--out", str(out)) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def non_integer_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("non_integer")
+    assert run("simulate", "non_integer", "--out", str(out)) == 0
     return out
 
 

@@ -207,6 +207,21 @@ def test_sntr_validates_arguments():
         sntr(profile, profile.num_bins)
 
 
+def test_non_integer_bin_is_a_value_error_naming_it():
+    # a float bin is refused as a bad bin, not as an indexing error; numpy
+    # integers index as ints do
+    beat = analytic_beat(SPEC, tap_of(48))
+    profile = range_profile(beat, MAP)
+    for bad in (48.0, np.float64(48.0), "48"):
+        message = re.escape(f"bin {bad!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            energy_dominance(beat, bad)
+        with pytest.raises(ValueError, match=message):
+            sntr(profile, bad)
+    assert energy_dominance(beat, np.int64(48)) == energy_dominance(beat, 48)
+    assert sntr(profile, np.int32(48)) == sntr(profile, 48)
+
+
 def test_sntr_infinite_for_noise_free_profile():
     profile = range_profile(analytic_beat(SPEC, 0.0), MAP)
     assert sntr(profile, 0) == np.inf
