@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import delay_in_samples
+from .channel import ChannelModel, _echo_blocks, delay_in_samples
 from .waveform import ComplexSignal, WaveformKind, WaveformSpec, phase_pieces
 
 __all__ = ["mix", "analytic_beat", "phase_consistency"]
@@ -50,6 +50,20 @@ def mix(tx: ComplexSignal, rx: ComplexSignal) -> ComplexSignal:
     # In place: one N-sized array instead of conj(tx) plus the product.
     beat = np.conj(tx.samples)
     beat *= rx.samples
+    return ComplexSignal(beat, tx.spec)
+
+
+def channel_beat(tx: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
+    """``mix(tx, apply_channel(tx, channel))``, bit for bit, with no received signal held.
+
+    Works through the blocks of ``channel._echo_blocks``: each block of the
+    beat is ``conj(tx)`` written in place, then multiplied by that block's
+    echo, with the operands in ``mix``'s order.
+    """
+    beat = np.empty(len(tx), dtype=np.complex128)
+    for a, b, echo in _echo_blocks(tx, channel):
+        block = np.conj(tx.samples[a:b], out=beat[a:b])
+        block *= echo
     return ComplexSignal(beat, tx.spec)
 
 

@@ -18,7 +18,9 @@ from .waveform import ComplexSignal, WaveformKind, WaveformSpec
 
 __all__ = ["ChannelTap", "ChannelModel", "apply_channel", "rayleigh_taps"]
 
-_BLOCK = 1 << 15  # output samples per scaled-copy block in apply_channel
+# Samples per block of _echo_blocks: 256 KB of complex128, small enough that a
+# block's echo, its scratch copy and the slices they read stay in cache.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,24 +79,46 @@ def delay_in_samples(delay_s: float, spec: WaveformSpec, tap_index: int = 0) -> 
     return samples
 
 
+def _echo_blocks(sig: ComplexSignal, channel: ChannelModel):
+    """Yield ``(a, b, echo)``: the channel output on samples ``a <= n < b``, block by block.
+
+    Every tap is checked first. Each block of ``_BLOCK`` samples is then
+    accumulated in one reused buffer: onto +0.0, each tap's ``gain * x[...]``
+    is added in tap order through one reused scratch buffer. ``echo`` is a
+    view of that buffer, valid until the next block is drawn.
+    """
+    n = len(sig)
+    x = sig.samples
+    taps = [(delay_in_samples(tap.delay_s, sig.spec, i), tap.gain)
+            for i, tap in enumerate(channel.taps)]
+    acc = np.empty(min(n, _BLOCK), dtype=np.complex128)
+    scratch = np.empty_like(acc)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        echo = acc[: b - a]
+        # Accumulated onto zeros, never assigned: a first tap written straight
+        # into the block would keep the -0.0 parts that adding to +0.0 clears.
+        echo.fill(0.0)
+        for d, gain in taps:
+            lo = max(a, d)
+            if lo < b:
+                part = np.multiply(gain, x[lo - d : b - d], out=scratch[: b - lo])
+                echo[lo - a :] += part
+        yield a, b, echo
+
+
 def apply_channel(sig: ComplexSignal, channel: ChannelModel) -> ComplexSignal:
     """Superimpose delayed, scaled copies of `sig`, one per tap.
 
     Samples that would come from before the start of the input contribute
-    zero, and the tail shifted past the input length is dropped. Each tap is
-    added over blocks of ``_BLOCK`` output samples, so the scaled copy it
-    makes stays small whatever the signal length.
+    zero, and the tail shifted past the input length is dropped. The output
+    is copied block by block out of ``_echo_blocks``, whose scratch stays
+    cache-sized whatever the signal length; each sample is the sum, in tap
+    order onto +0.0, of the taps' ``gain * x[n - d]``.
     """
-    n = len(sig)
-    x = sig.samples
-    # Accumulated onto zeros, never assigned: a first tap written straight
-    # into `out` would keep the -0.0 parts that adding to +0.0 clears.
-    out = np.zeros(n, dtype=np.complex128)
-    for i, tap in enumerate(channel.taps):
-        d = delay_in_samples(tap.delay_s, sig.spec, i)
-        for a in range(d, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            out[a:b] += tap.gain * x[a - d : b - d]
+    out = np.empty(len(sig), dtype=np.complex128)
+    for a, b, echo in _echo_blocks(sig, channel):
+        out[a:b] = echo
     return ComplexSignal(out, sig.spec)
 
 

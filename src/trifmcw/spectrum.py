@@ -96,7 +96,7 @@ class RangeProfile:
         arr = np.asarray(self.bin_power, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("profile must hold at least one bin")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        if not (arr.min() >= 0 and arr.max() < math.inf):  # nan fails this test too
             raise ValueError("bin powers must be finite and non-negative")
         object.__setattr__(self, "bin_power", arr)
 
@@ -155,17 +155,18 @@ def range_profile(
     """Power-vs-range profile over the non-negative-frequency bins.
 
     The real-input FFT of Re(beat) yields the n//2 + 1 bins directly; the
-    rest of the full DFT is their Hermitian mirror. A beat whose bin powers
-    could overflow float64, or whose ranges could, raises ValueError before
-    the FFT.
+    rest of the full DFT is their Hermitian mirror; the magnitudes are
+    squared in place, the same bits as ``np.abs(rfft) ** 2``. A beat whose
+    bin powers could overflow float64, or whose ranges could, raises
+    ValueError before the FFT.
     """
     if len(beat) < 2:
         raise ValueError("beat must hold at least two samples")
     real = np.real(beat.samples)
     check_beat_magnitude(len(real), float(np.abs(real).max()))
     spacing = mapping.bin_spacing_m(beat.spec)
-    power = np.abs(np.fft.rfft(real)) ** 2
-    return RangeProfile(power, spacing)
+    power = np.abs(np.fft.rfft(real))
+    return RangeProfile(np.square(power, out=power), spacing)
 
 
 def check_threshold_db(rel_threshold_db: float) -> float:

@@ -21,6 +21,7 @@ sample at ``t = Tc`` belongs to the second half of a two-part waveform.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -196,7 +197,12 @@ class ComplexSignal:
                 f"signal shape {arr.shape} does not match the spec's grid of "
                 f"{self.spec.num_samples} samples"
             )
-        if not np.all(np.isfinite(arr)):
+        # A sum is finite only if every term is; a finite sum clears the array
+        # in one pass. An overflowing sum of finite samples is told apart by
+        # the elementwise test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not (cmath.isfinite(total) or np.isfinite(arr).all()):
             raise ValueError("signal samples must be finite")
         object.__setattr__(self, "samples", arr)
 

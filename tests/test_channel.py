@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +15,11 @@ from trifmcw import (
     WaveformSpec,
     apply_channel,
     generate,
+    mix,
     rayleigh_taps,
 )
+from trifmcw.beat import channel_beat
+from trifmcw.channel import _BLOCK
 
 FS = 1000.0
 
@@ -211,8 +216,8 @@ _GAINS = st.one_of(
 
 @st.composite
 def _channel_cases(draw):
-    # Half the cases span more than one accumulation block of 2**15 samples.
-    n = draw(st.one_of(st.integers(1, 2**15), st.integers(2**15 + 1, 70_000)))
+    # Half the cases fit one block of the channel kernel, half span two to four.
+    n = draw(st.one_of(st.integers(1, _BLOCK), st.integers(_BLOCK + 1, 4 * _BLOCK)))
     delays = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
     )
@@ -222,8 +227,8 @@ def _channel_cases(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(case=_channel_cases())
-@example(case=(70_000, [0, 69_999], [complex(0.5, -0.0), complex(-1.25, 0.0)], 1))
-@example(case=(2**15 + 1, [2**15, 1, 0], [complex(1.0, -0.0), 0.3 - 0.4j, -1.0], 2))
+@example(case=(4 * _BLOCK, [0, 4 * _BLOCK - 1], [complex(0.5, -0.0), complex(-1.25, 0.0)], 1))
+@example(case=(_BLOCK + 1, [_BLOCK, 1, 0], [complex(1.0, -0.0), 0.3 - 0.4j, -1.0], 2))
 @example(case=(40_000, [0], [complex(-1.25, -0.0)], 3))
 @example(case=(1, [0], [complex(0.0, -0.0)], 4))
 def test_apply_channel_equals_the_full_slice_loop_bitwise(case):
@@ -239,3 +244,67 @@ def test_apply_channel_equals_the_full_slice_loop_bitwise(case):
     got = apply_channel(sig_of(x), channel).samples
     want = _full_slice_apply_channel(x, delays, gains)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# fs*Tc = 17,000 samples at the minimum rate: every kind's tap window holds the
+# block edges, and up to three times that rate the beat spans up to 13 blocks.
+_BEAT_B = 1000.0
+_BEAT_TC = 8.5
+
+
+@st.composite
+def _channel_beat_cases(draw):
+    kind = draw(st.sampled_from(list(WaveformKind)))
+    min_fs = WaveformSpec(kind, _BEAT_B, _BEAT_TC).sample_rate_hz
+    spec = WaveformSpec(
+        kind, _BEAT_B, _BEAT_TC, sample_rate_hz=draw(st.sampled_from([1, 2, 3])) * min_fs
+    )
+    window = spec.samples_per_chirp if kind is WaveformKind.TRIANGLE else spec.num_samples
+    edges = [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, window - 1]
+    delays = draw(st.lists(
+        st.one_of(st.sampled_from(edges), st.integers(0, window - 1)), min_size=1, max_size=8
+    ))
+    gains = draw(st.lists(_GAINS, min_size=len(delays), max_size=len(delays)))
+    # None: the generated transmit; a seed: a hand-built one with signed zeros
+    tx_seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return spec, delays, gains, tx_seed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_channel_beat_cases())
+@example(case=(
+    WaveformSpec(WaveformKind.TRIANGLE, _BEAT_B, _BEAT_TC),
+    [_BLOCK - 1, _BLOCK + 1, _BLOCK + 1, 16_999], [1.0, complex(-0.5, -0.0), complex(0.0, -0.0), 2.0],
+    None,
+))
+@example(case=(
+    WaveformSpec(WaveformKind.LINEAR, _BEAT_B, _BEAT_TC, sample_rate_hz=6000.0),
+    [0, 0, _BLOCK, 50_999], [complex(-1.25, -0.0), 1.0, 0.3 - 0.4j, complex(0.0, -0.0)],
+    5,
+))
+def test_channel_beat_equals_mix_of_apply_channel_bitwise(case):
+    spec, delays, gains, tx_seed = case
+    if tx_seed is None:
+        tx = generate(spec)
+    else:
+        rng = np.random.default_rng(tx_seed)
+        n = spec.num_samples
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x.real[rng.random(n) < 0.1] = -0.0
+        x.imag[rng.random(n) < 0.1] = 0.0
+        tx = ComplexSignal(x, spec)
+    fs = spec.sample_rate_hz
+    channel = ChannelModel(tuple(ChannelTap(d / fs, g) for d, g in zip(delays, gains)))
+    got = channel_beat(tx, channel).samples
+    want = mix(tx, apply_channel(tx, channel)).samples
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_channel_beat_refuses_a_tap_as_apply_channel_does():
+    tx = generate(WaveformSpec(WaveformKind.TRIANGLE, _BEAT_B, _BEAT_TC))
+    for delay, error in ((10.5 / 2000.0, GridAlignmentError), (8.5, ConfigError)):
+        channel = ChannelModel((ChannelTap(0.0, 1.0), ChannelTap(delay, 1.0)))
+        with pytest.raises(error) as refused:
+            apply_channel(tx, channel)
+        with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+            channel_beat(tx, channel)

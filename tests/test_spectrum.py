@@ -316,6 +316,29 @@ def test_range_profile_matches_full_spectrum_half(spec, ps):
     np.testing.assert_allclose(profile.bin_power, expected, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("kind", list(WaveformKind), ids=lambda kind: kind.value)
+def test_range_profile_is_the_squared_rfft_magnitude_bitwise(kind):
+    spec = WaveformSpec(kind, B, TC)
+    fs = spec.sample_rate_hz
+    beat = channel_beat(spec, [(9 / fs, 1.0), (31 / fs, -0.5 + 0.25j), (70 / fs, 0.75j)])
+    want = np.abs(np.fft.rfft(beat.samples.real)) ** 2
+    got = range_profile(beat, MAP).bin_power
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_range_profile_bound_reads_the_largest_real_magnitude(sign):
+    # 3200 samples of 2^500 sum to 2^511.6, inside the bound; 2^501 is past it.
+    samples = np.full(SPEC.num_samples, 0.5 + 1e300j)
+    samples[17] = sign * 2.0**500
+    range_profile(ComplexSignal(samples, SPEC), MAP)
+    samples[17] = sign * 2.0**501
+    with pytest.raises(ValueError, match=re.escape(
+            f"beat is too large for a finite profile: 3200 samples of magnitude up to "
+            f"{2.0**501:.6g} can")):
+        range_profile(ComplexSignal(samples, SPEC), MAP)
+
+
 def _reference_detect_peaks(profile, rel_threshold_db=-12.0):
     """The original bin-by-bin loop that detect_peaks must reproduce exactly."""
     power = profile.bin_power
@@ -498,6 +521,27 @@ def test_ranges_past_float_range_are_refused(speed, spec):
 def test_profile_rejects_bad_bin_powers(power, error):
     with pytest.raises(ValueError, match=error):
         RangeProfile(np.array(power), 0.01)
+
+
+@pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, -1.0, -5e-324], ids=["nan", "inf", "-inf", "-1", "-tiny"]
+)
+def test_profile_rejects_a_bad_bin_power_anywhere(value, at):
+    power = np.ones(9)
+    power[at] = value
+    with pytest.raises(ValueError, match="^bin powers must be finite and non-negative$"):
+        RangeProfile(power, 0.01)
+
+
+@pytest.mark.parametrize("power", [
+    [-0.0, 0.0, -0.0],
+    [1e308, 1e308, 1.7976931348623157e308],
+    [0.0, 5e-324, 1.0],
+], ids=["signed_zeros", "sum_overflows", "subnormal"])
+def test_profile_accepts_finite_non_negative_powers(power):
+    profile = RangeProfile(np.array(power), 0.01)
+    assert np.array_equal(profile.bin_power.view(np.uint64), np.array(power).view(np.uint64))
 
 
 def test_sntr_of_a_guard_band_over_the_whole_profile_or_a_zero_signal_bin():

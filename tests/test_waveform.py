@@ -241,6 +241,45 @@ def test_signal_rejects_non_finite():
         ComplexSignal(np.array([1.0, np.nan * 1j]), linear_spec(2, 100.0))
 
 
+def _with(value, part, at, n=9):
+    """n unit samples with ``value`` in the real or imaginary part of sample ``at``."""
+    samples = np.ones(n, dtype=np.complex128)
+    getattr(samples, part)[at] = value
+    return samples
+
+
+@pytest.mark.parametrize("at", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_signal_rejects_a_non_finite_part_anywhere(value, part, at):
+    with pytest.raises(ValueError, match="^signal samples must be finite$"):
+        ComplexSignal(_with(value, part, at), linear_spec(9, 100.0))
+
+
+@pytest.mark.parametrize("samples", [
+    np.full(9, 1e308 + 1e308j),
+    np.full(9, -1e308 - 0j),
+    np.array([1e308, 1e308, -1e308, -1e308, 1e308j, 1e308j, -1e308j, -1e308j, 0]),
+    np.array([-0.0, 0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1, 1, 1, 1, 1]),
+], ids=["sum_overflows", "sum_overflows_negative", "sum_is_inf_minus_inf", "signed_zeros"])
+def test_signal_accepts_finite_samples_whose_sum_is_not(samples):
+    sig = ComplexSignal(samples, linear_spec(9, 100.0))
+    assert np.array_equal(sig.samples.view(np.uint64), samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf], ids=["finite", "nan", "inf"])
+def test_signal_guard_reads_a_strided_array(bad):
+    samples = np.full(18, 1e308 + 0j)
+    if bad is not None:
+        samples[7] = bad  # sample 7 is in the strided view, sample 8 would not be
+    view = samples[1::2]
+    if bad is None:
+        assert ComplexSignal(view, linear_spec(9, 100.0)).samples is view
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            ComplexSignal(view, linear_spec(9, 100.0))
+
+
 def _exp_reference_phase(spec):
     """Phase of every sample as np.where over whole-array formulas gives it.
 
